@@ -15,9 +15,15 @@ namespace {
 // Set inside pool workers so nested parallel_for calls degrade to serial
 // execution instead of deadlocking (a worker must never block on the pool).
 thread_local bool g_inside_pool_worker = false;
+
+// Initial queue slots (a power of two). A fan-out queues at most one task per
+// pool thread, so on common core counts this covers several concurrent
+// fan-outs plus long-lived serve loops before the ring has to grow.
+constexpr std::size_t kInitialRingSlots = 64;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
+  ring_.resize(kInitialRingSlots);
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -42,14 +48,34 @@ void ThreadPool::submit(std::function<void()> task) {
     // NOLINTNEXTLINE(snnsec-hot-path-lock): queue handoff, O(1) critical section
     std::lock_guard lock(mutex_);
     SNNSEC_CHECK(!stop_, "submit() on stopped ThreadPool");
-    // NOLINTNEXTLINE(snnsec-hot-path-alloc): deque growth amortized, steady state reuses blocks
-    tasks_.push(std::move(entry));
+    push_locked(std::move(entry));
     ++in_flight_;
-    depth = tasks_.size();
+    depth = queued_;
   }
   metrics::counter_add("pool.tasks", 1);
   metrics::gauge_set("pool.queue_depth", static_cast<double>(depth));
   cv_task_.notify_one();
+}
+
+void ThreadPool::push_locked(Task&& task) {
+  if (queued_ == ring_.size()) {
+    // Full: unwrap so the queue starts at slot 0, then double the slots.
+    std::rotate(ring_.begin(),
+                ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                ring_.end());
+    head_ = 0;
+    // NOLINTNEXTLINE(snnsec-hot-path-alloc): ring doubles only when full; a warm pool never grows it
+    ring_.resize(ring_.size() * 2);
+  }
+  ring_[(head_ + queued_) & (ring_.size() - 1)] = std::move(task);
+  ++queued_;
+}
+
+ThreadPool::Task ThreadPool::pop_locked() {
+  Task task = std::move(ring_[head_]);
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  --queued_;
+  return task;
 }
 
 void ThreadPool::wait_idle() {
@@ -68,11 +94,10 @@ void ThreadPool::worker_loop() {
     std::size_t depth;
     {
       std::unique_lock lock(mutex_);
-      cv_task_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
-      depth = tasks_.size();
+      cv_task_.wait(lock, [this] { return stop_ || queued_ > 0; });
+      if (stop_ && queued_ == 0) return;
+      task = pop_locked();
+      depth = queued_;
     }
     metrics::gauge_set("pool.queue_depth", static_cast<double>(depth));
     if (task.enqueued != std::chrono::steady_clock::time_point{}) {
@@ -121,45 +146,71 @@ ThreadPool& ThreadPool::global() {
 
 bool inside_pool_worker() { return g_inside_pool_worker; }
 
-void detail::parallel_for_chunked_impl(
-    std::int64_t begin, std::int64_t end, std::int64_t workers,
-    const std::function<void(std::int64_t, std::int64_t)>& fn) {
-  const std::int64_t n = end - begin;
-  ThreadPool& pool = ThreadPool::global();
+namespace {
+// Join state of one fan-out. It lives on the caller's stack: the caller
+// blocks until every chunk has reported done, so chunk tasks need carry only
+// a pointer to it and their chunk index — small enough for std::function's
+// inline buffer, which keeps a warm fan-out off the heap.
+struct FanOut {
+  FanOut(detail::ChunkFn f, void* c, std::int64_t b, std::int64_t e,
+         std::int64_t workers)
+      : fn(f),
+        ctx(c),
+        begin(b),
+        end(e),
+        chunk((e - b + workers - 1) / workers) {}
+
+  const detail::ChunkFn fn;
+  void* const ctx;
+  const std::int64_t begin;
+  const std::int64_t end;
+  const std::int64_t chunk;
+  std::int64_t launched = 0;
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  const std::int64_t chunk = (n + workers - 1) / workers;
-  std::atomic<std::int64_t> done{0};
+  std::int64_t done = 0;  ///< guarded by done_mutex
   std::mutex done_mutex;
   std::condition_variable done_cv;
-  std::int64_t launched = 0;
-  for (std::int64_t lo = begin; lo < end; lo += chunk) {
+
+  void run_chunk(std::int64_t index) {
+    const std::int64_t lo = begin + index * chunk;
     const std::int64_t hi = std::min(end, lo + chunk);
-    ++launched;
-    pool.submit([&, lo, hi] {
-      try {
-        // NOLINTNEXTLINE(snnsec-relaxed-atomic): advisory probe, exchange is seq_cst
-        if (!failed.load(std::memory_order_relaxed)) fn(lo, hi);
-      } catch (...) {
-        // NOLINTNEXTLINE(snnsec-hot-path-lock): first-error latch, exception path only
-        std::lock_guard lock(error_mutex);
-        if (!failed.exchange(true)) first_error = std::current_exception();
-      }
-      {
-        // NOLINTNEXTLINE(snnsec-hot-path-lock): completion count, O(1) critical section
-        std::lock_guard lock(done_mutex);
-        ++done;
-      }
-      done_cv.notify_one();
-    });
+    try {
+      // NOLINTNEXTLINE(snnsec-relaxed-atomic): advisory probe, exchange is seq_cst
+      if (!failed.load(std::memory_order_relaxed)) fn(ctx, lo, hi);
+    } catch (...) {
+      // NOLINTNEXTLINE(snnsec-hot-path-lock): first-error latch, exception path only
+      std::lock_guard lock(error_mutex);
+      if (!failed.exchange(true)) first_error = std::current_exception();
+    }
+    // Count and notify under the lock: the moment done reaches launched the
+    // caller may return and destroy done_cv, so no chunk may touch it after
+    // releasing done_mutex.
+    // NOLINTNEXTLINE(snnsec-hot-path-lock): completion count, O(1) critical section
+    std::lock_guard lock(done_mutex);
+    ++done;
+    done_cv.notify_one();
+  }
+};
+}  // namespace
+
+void detail::parallel_for_chunked_impl(std::int64_t begin, std::int64_t end,
+                                       std::int64_t workers, ChunkFn fn,
+                                       void* ctx) {
+  FanOut fan(fn, ctx, begin, end, workers);
+  ThreadPool& pool = ThreadPool::global();
+  for (std::int64_t lo = begin; lo < end; lo += fan.chunk) {
+    FanOut* state = &fan;
+    const std::int64_t index = fan.launched++;
+    pool.submit([state, index] { state->run_chunk(index); });
   }
   {
     // NOLINTNEXTLINE(snnsec-hot-path-lock): join barrier, fan-out caller must block here
-    std::unique_lock lock(done_mutex);
-    done_cv.wait(lock, [&] { return done.load() == launched; });
+    std::unique_lock lock(fan.done_mutex);
+    fan.done_cv.wait(lock, [&fan] { return fan.done == fan.launched; });
   }
-  if (failed.load()) std::rethrow_exception(first_error);
+  if (fan.failed.load()) std::rethrow_exception(fan.first_error);
 }
 
 }  // namespace snnsec::util

@@ -15,8 +15,8 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace snnsec::util {
@@ -51,8 +51,17 @@ class ThreadPool {
     std::chrono::steady_clock::time_point enqueued{};
   };
 
+  /// FIFO task queue: a ring over preallocated slots that doubles only when
+  /// full, so a warm pool enqueues and dequeues without touching the heap
+  /// (a std::deque frees and reallocates a block every few tasks). Both
+  /// members run under mutex_.
+  void push_locked(Task&& task);
+  Task pop_locked();
+
   std::vector<std::thread> workers_;
-  std::queue<Task> tasks_;
+  std::vector<Task> ring_;  ///< size is a power of two
+  std::size_t head_ = 0;    ///< slot of the oldest queued task
+  std::size_t queued_ = 0;
   std::mutex mutex_;
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;
@@ -65,19 +74,24 @@ class ThreadPool {
 bool inside_pool_worker();
 
 namespace detail {
+/// Non-owning kernel handle: calls the caller's functor at ctx on [lo, hi).
+using ChunkFn = void (*)(void* ctx, std::int64_t lo, std::int64_t hi);
+
 /// Out-of-line fan-out/join core; only reached when the work will actually
 /// be dispatched to the pool.
-void parallel_for_chunked_impl(
-    std::int64_t begin, std::int64_t end, std::int64_t workers,
-    const std::function<void(std::int64_t, std::int64_t)>& fn);
+void parallel_for_chunked_impl(std::int64_t begin, std::int64_t end,
+                               std::int64_t workers, ChunkFn fn, void* ctx);
 }  // namespace detail
 
 /// Hand contiguous [lo, hi) chunks of [begin, end) to the global pool and
 /// block until all finish. Exceptions thrown by fn are rethrown on the
-/// caller (first one wins). Serial — calling fn directly, without erasing it
-/// into a heap-allocated std::function — when the range is empty, the pool
-/// has one thread, or the caller is itself a pool worker; hot loops that hit
-/// the serial path therefore allocate nothing.
+/// caller (first one wins). Serial — calling fn directly — when the range is
+/// empty, the pool has one thread, or the caller is itself a pool worker.
+/// The fan-out never type-erases fn: workers call a copy of it on the
+/// caller's stack through a function pointer while the caller blocks, and
+/// the per-call join state lives on that stack too. A warm call therefore
+/// allocates nothing at any pool size (the queue only grows past its
+/// preallocated ring when more tasks are pending at once than ever before).
 template <typename Fn>
 void parallel_for_chunked(std::int64_t begin, std::int64_t end, Fn&& fn) {
   const std::int64_t n = end - begin;
@@ -92,7 +106,16 @@ void parallel_for_chunked(std::int64_t begin, std::int64_t end, Fn&& fn) {
     fn(begin, end);
     return;
   }
-  detail::parallel_for_chunked_impl(begin, end, workers, fn);
+  // Workers call a copy on this frame: handing out fn's own address lets it
+  // escape, which measurably slows the inlined serial path above.
+  using F = std::decay_t<Fn>;
+  F local = fn;
+  detail::parallel_for_chunked_impl(
+      begin, end, workers,
+      [](void* ctx, std::int64_t lo, std::int64_t hi) {
+        (*static_cast<F*>(ctx))(lo, hi);
+      },
+      &local);
 }
 
 /// Run fn(i) for i in [begin, end) across the global pool. Same serial

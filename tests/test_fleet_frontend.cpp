@@ -145,6 +145,10 @@ TEST(FleetFrontend, RequestResponseRoundtrip) {
   EXPECT_EQ(out.steps_used, 7U);
   EXPECT_NE(out.resp_flags & kRespTruncated, 0);
 
+  // The response counter ticks after the reply write returns, so the client
+  // can see the reply first; stop() joins the executors, so the counters are
+  // final afterwards.
+  fe.stop();
   const FrontendStats s = fe.stats();
   EXPECT_EQ(s.connections_accepted, 1);
   EXPECT_EQ(s.requests, 1);

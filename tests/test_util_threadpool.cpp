@@ -135,6 +135,26 @@ TEST(ParallelForChunked, PropagatesFirstExceptionWithoutHanging) {
   EXPECT_EQ(count.load(), 100);
 }
 
+TEST(ParallelForChunked, BackToBackFanOutsJoinCleanly) {
+  // Regression for the join race: a chunk used to bump the completion count,
+  // release the lock and only then notify the caller's condition variable —
+  // which the caller may already have destroyed on returning. Each fan-out's
+  // join state lives on the caller's stack, so back-to-back calls reuse the
+  // same stack slots and a late notify lands on the next call's state. In
+  // release builds the old code only hung or crashed now and then; the
+  // reliable check is this binary under -DSNNSEC_SANITIZE=thread, where 500
+  // such calls flagged the race every time.
+  constexpr int kCalls = 2000;
+  constexpr std::int64_t kN = 4;
+  for (int call = 0; call < kCalls; ++call) {
+    std::atomic<std::int64_t> sum{0};
+    parallel_for_chunked(0, kN, [&sum](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) sum += i + 1;
+    });
+    ASSERT_EQ(sum.load(), kN * (kN + 1) / 2) << "call " << call;
+  }
+}
+
 TEST(ThreadPoolGlobal, IsSingleton) {
   EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
   EXPECT_GE(ThreadPool::global().size(), 1u);
