@@ -149,7 +149,6 @@ struct ScenarioRow {
 serve::ServerConfig base_config(const std::string& ckpt) {
   serve::ServerConfig scfg;
   scfg.model_path = ckpt;
-  scfg.workers = 0;  // inline: deterministic batches of one
   scfg.batcher.max_batch = 8;
   scfg.batcher.max_delay_us = 200;
   scfg.batcher.capacity = 64;
@@ -413,15 +412,13 @@ int run(int argc, char** argv) {
         f,
         "    {\"name\": \"%s\", \"supervised\": {\"accuracy\": %.4f, "
         "\"detect_after_requests\": %lld, \"quarantines\": %lld, "
-        "\"respawns\": %lld, \"retries\": %lld, \"rescues\": %lld, "
-        "\"errors\": %lld}, \"unsupervised\": {\"accuracy\": %.4f, "
-        "\"errors\": %lld}}%s\n",
+        "\"respawns\": %lld, \"retries\": %lld, \"errors\": %lld}, "
+        "\"unsupervised\": {\"accuracy\": %.4f, \"errors\": %lld}}%s\n",
         row.name, row.on.accuracy,
         static_cast<long long>(row.on.detect_after),
         static_cast<long long>(row.on.stats.quarantines),
         static_cast<long long>(row.on.stats.respawns),
         static_cast<long long>(row.on.stats.retries),
-        static_cast<long long>(row.on.stats.rescues),
         static_cast<long long>(row.on.errors), row.off.accuracy,
         static_cast<long long>(row.off.errors),
         i + 1 < rows.size() ? "," : "");

@@ -2,7 +2,7 @@
 //
 // Trains a small spiking LeNet, calibrates a clean-traffic ActivityEnvelope
 // on the training split (the same AnytimeRunner + SketchAccumulator
-// pipeline the serve workers run), then replays clean test traffic and
+// pipeline serve::Server runs), then replays clean test traffic and
 // PGD / FGSM / SimBA adversarial traffic through a detector-armed Server
 // and measures:
 //
@@ -233,7 +233,6 @@ int run(int argc, char** argv) {
   // ---- detector-armed server (inline mode: comparable numbers).
   serve::ServerConfig scfg;
   scfg.model_path = ckpt;
-  scfg.workers = 0;
   scfg.batcher.max_batch = 8;
   scfg.batcher.max_delay_us = 200;
   scfg.batcher.capacity = 64;

@@ -117,7 +117,6 @@ int run(int argc, char** argv) {
 
   serve::ServerConfig scfg;
   scfg.model_path = ckpt;
-  scfg.workers = 0;  // inline: comparable single-threaded numbers
   scfg.batcher.max_batch = 8;
   scfg.batcher.max_delay_us = 200;
   scfg.batcher.capacity = 64;

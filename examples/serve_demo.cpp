@@ -108,7 +108,6 @@ int main(int argc, char** argv) {
   //    deterministic and exactly what a latency-sensitive embedder wants.
   serve::ServerConfig scfg;
   scfg.model_path = model_path;
-  scfg.workers = 0;
   scfg.batcher.max_batch = 8;
   scfg.batcher.max_delay_us = 200;
   serve::Server server(scfg);

@@ -105,9 +105,6 @@ Router::Router(RouterConfig cfg)
     for (std::int64_t r = 0; r < gc.replicas; ++r) {
       serve::ServerConfig sc = gc.server;
       sc.model_path.clear();
-      // Resident pool workers from N servers would monopolise the shared
-      // ThreadPool; fleet submitter threads drive inline batches instead.
-      sc.workers = 0;
       if (!gc.chaos_per_replica.empty())
         sc.chaos_on_batch = static_cast<std::size_t>(r) <
                                     gc.chaos_per_replica.size()

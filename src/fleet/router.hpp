@@ -23,9 +23,8 @@
 // a request under DetectPolicy::kReroute, the router re-runs it on the
 // hardened group and returns that cell's prediction instead of rejecting.
 //
-// Every group replica is a self-contained serve::Server in inline mode
-// (submitter threads drive the micro-batches; resident pool workers would
-// monopolise the shared ThreadPool), each with its own Supervisor, so
+// Every group replica is a self-contained serve::Server (submitter threads
+// drive its micro-batches), each with its own Supervisor, so
 // canaries/quarantine/respawn operate per replica and chaos armed on one
 // replica never takes down its group.
 #pragma once
@@ -72,8 +71,7 @@ struct GroupConfig {
   std::int64_t replicas = 1;
   /// Per-replica server settings (batcher, min_steps, detection,
   /// supervision, chaos). model_path is ignored (the group's checkpoint is
-  /// used) and workers is forced to 0: fleet submitter threads drive
-  /// inline batches.
+  /// used).
   serve::ServerConfig server;
   /// Step budget applied to requests that do not carry their own.
   /// 0 = full window, except for kLowLatency groups where it defaults to

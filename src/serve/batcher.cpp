@@ -83,38 +83,6 @@ std::int64_t MicroBatcher::next_batch(std::int64_t* out) {
   return n;
 }
 
-std::int64_t MicroBatcher::next_batch_for(std::int64_t* out,
-                                          std::int64_t timeout_us) {
-  const auto delay = std::chrono::microseconds(cfg_.max_delay_us);
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::microseconds(timeout_us);
-  std::unique_lock<std::mutex> lk(m_);
-  for (;;) {
-    if (count_ > 0) {
-      if (count_ >= cfg_.max_batch || stopped_) break;
-      const auto flush_at =
-          enq_time_[static_cast<std::size_t>(
-              fifo_[static_cast<std::size_t>(head_)])] +
-          delay;
-      if (std::chrono::steady_clock::now() >= flush_at) break;
-      // A pending request always flushes by its own deadline even when that
-      // lands past the caller's timeout — maintenance can wait one batch.
-      cv_ready_.wait_until(lk, flush_at);
-    } else {
-      if (stopped_) return 0;
-      if (std::chrono::steady_clock::now() >= give_up) return -1;
-      cv_ready_.wait_until(lk, give_up);
-    }
-  }
-  const std::int64_t n = std::min(count_, cfg_.max_batch);
-  for (std::int64_t i = 0; i < n; ++i) {
-    out[i] = fifo_[static_cast<std::size_t>((head_ + i) % cfg_.capacity)];
-  }
-  head_ = (head_ + n) % cfg_.capacity;
-  count_ -= n;
-  return n;
-}
-
 // SNNSEC_HOT entry: slot recycling, called once per completed request.
 void MicroBatcher::release(std::int64_t slot) {
   // NOLINTNEXTLINE(snnsec-hot-path-lock): slot recycle, O(1) critical section

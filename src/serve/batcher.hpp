@@ -56,12 +56,6 @@ class MicroBatcher {
   /// size, or 0 once stopped and drained.
   std::int64_t next_batch(std::int64_t* out);
 
-  /// Timed variant for supervised workers: like next_batch, but gives up
-  /// after `timeout_us` without a formed batch and returns -1 so the caller
-  /// can run maintenance (canary checks, self-healing) between polls.
-  /// Returns 0 only when stopped and drained, exactly like next_batch.
-  std::int64_t next_batch_for(std::int64_t* out, std::int64_t timeout_us);
-
   /// Return a slot to the free list (producer side, after the result has
   /// been read out).
   void release(std::int64_t slot);

@@ -2,7 +2,7 @@
 //
 // Loading a checkpoint costs file I/O plus the full validation chain
 // (digest, config hash, architecture fingerprint). The cache pays that once
-// per distinct model and hands out shared immutable Artifacts; workers then
+// per distinct model and hands out shared immutable Artifacts; servers then
 // stamp out private replicas (mutable SpikingClassifier instances with
 // their own forward state) from the in-memory payload without touching the
 // filesystem again.

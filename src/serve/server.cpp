@@ -5,12 +5,12 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <future>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/checked.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace snnsec::serve {
 
@@ -50,6 +50,11 @@ Server::Server(ServerConfig cfg,
   SNNSEC_CHECK(std::isfinite(cfg_.flag_threshold) && cfg_.flag_threshold >= 0.0,
                "ServerConfig: flag_threshold must be finite and >= 0, got "
                    << cfg_.flag_threshold);
+  SNNSEC_CHECK(cfg_.workers == 0,
+               "ServerConfig: workers must be 0, got "
+                   << cfg_.workers
+                   << "; resident workers were removed and callers always "
+                      "drive batches inline");
 
   if (cfg_.envelope) {
     envelope_ = cfg_.envelope;
@@ -88,7 +93,7 @@ Server::Server(ServerConfig cfg,
     sup_ = std::make_unique<Supervisor>(cfg_.supervisor, *artifact_);
 
   const nn::LenetSpec& arch = artifact_->arch();
-  // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time slot/worker construction.
+  // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time slot/replica construction.
   slots_.reserve(static_cast<std::size_t>(batcher_.capacity()));
   for (std::int64_t i = 0; i < batcher_.capacity(); ++i) {
     auto slot = std::make_unique<Slot>();
@@ -97,8 +102,37 @@ Server::Server(ServerConfig cfg,
     // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time slot construction.
     slots_.push_back(std::move(slot));
   }
-  start_workers(cfg_.workers);
-  if (sup_) sup_thread_ = std::thread([this] { supervise_loop(); });
+  // Boot-verify: the deep canary's stage buffers must be warm before steady
+  // state (zero-alloc gate), and a replica that cannot reproduce the golden
+  // logits should fail loudly at startup. Stamped before the batch buffers
+  // below: allocating those first moved the replica's heap placement and
+  // read ~13% slower on perfbench trusted_wire (one pinned x86-64 vCPU).
+  SNNSEC_CHECK(stamp_replica(), "serve: replica failed its boot canary");
+  const std::size_t cap = static_cast<std::size_t>(cfg_.batcher.max_batch);
+  // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time batch buffer sizing.
+  rep_.slots.resize(cap);
+  // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time batch buffer sizing.
+  rep_.budget.resize(cap);
+  // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time batch buffer sizing.
+  rep_.finalized.resize(cap);
+  // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time batch buffer sizing.
+  rep_.epochs.resize(cap);
+  // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time batch buffer sizing.
+  rep_.degraded.resize(cap);
+  if (sup_) {
+    std::promise<void> warm;
+    std::future<void> warmed = warm.get_future();
+    sup_thread_ = std::thread([this, warm = std::move(warm)]() mutable {
+      // First deep canary before the constructor returns, so no request
+      // waits behind it: it warms this thread's workspace arenas and metric
+      // handles, and the idle-window canaries it runs later allocate
+      // nothing.
+      if (cfg_.supervisor.canary_interval_ms > 0) deep_canary();
+      warm.set_value();
+      supervise_loop();
+    });
+    warmed.wait();
+  }
 }
 
 Server::~Server() { stop(); }
@@ -107,84 +141,35 @@ std::int64_t Server::now_ms() const {
   return elapsed_us(start_, std::chrono::steady_clock::now()) / 1000;
 }
 
-std::unique_ptr<Server::Worker> Server::make_worker_context(std::int64_t id) {
-  auto w = std::make_unique<Worker>();
-  w->id = id;
-  w->model = artifact_->make_replica();
-  w->runner = std::make_unique<snn::AnytimeRunner>(*w->model,
-                                                   cfg_.allow_faults);
+bool Server::stamp_replica() {
+  Replica& r = rep_;
+  r.model = artifact_->make_replica();
+  r.runner = std::make_unique<snn::AnytimeRunner>(*r.model,
+                                                  cfg_.allow_faults);
   if (envelope_) {
-    SNNSEC_CHECK(envelope_->layers().size() ==
-                     w->runner->sketch_layers().size(),
-                 "serve: envelope calibrated for "
-                     << envelope_->layers().size()
-                     << " spiking layers, model has "
-                     << w->runner->sketch_layers().size());
-    w->sketch.configure(w->runner->sketch_layers(), envelope_->buckets());
-    w->runner->set_sketch(&w->sketch);
+    if (!r.sketch.configured()) {
+      SNNSEC_CHECK(envelope_->layers().size() ==
+                       r.runner->sketch_layers().size(),
+                   "serve: envelope calibrated for "
+                       << envelope_->layers().size()
+                       << " spiking layers, model has "
+                       << r.runner->sketch_layers().size());
+      r.sketch.configure(r.runner->sketch_layers(), envelope_->buckets());
+    }
+    r.runner->set_sketch(&r.sketch);
   }
-  const std::size_t cap = static_cast<std::size_t>(cfg_.batcher.max_batch);
-  // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time batch buffer sizing.
-  w->slots.resize(cap);
-  // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time batch buffer sizing.
-  w->budget.resize(cap);
-  // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time batch buffer sizing.
-  w->finalized.resize(cap);
-  // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time batch buffer sizing.
-  w->epochs.resize(cap);
-  // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time batch buffer sizing.
-  w->degraded.resize(cap);
-  w->active_slots = std::vector<std::atomic<std::int64_t>>(cap);
-  if (sup_) {
-    w->params = w->model->parameters();
-    nn::Sequential& net = w->model->net();
-    for (std::size_t i = 0; i < net.size(); ++i)
-      if (auto* lif = dynamic_cast<snn::LifLayer*>(&net.layer(i)))
-        // NOLINTNEXTLINE(snnsec-hot-alloc): startup/respawn-time construction.
-        w->lifs.push_back(lif);
-    w->canary_runner = std::make_unique<snn::AnytimeRunner>(*w->model);
-    // Prewarm and boot-verify: the deep canary's stage buffers must be warm
-    // before steady state (zero-alloc gate), and a replica that cannot
-    // reproduce the golden logits should fail loudly at startup.
-    w->canary_runner->run(sup_->probe());
-    SNNSEC_CHECK(sup_->logits_ok(w->canary_runner->logits()),
-                 "serve: replica " << id << " failed its boot canary");
-    w->last_canary_ms.store(now_ms(), std::memory_order_relaxed);
-  }
-  return w;
-}
-
-void Server::start_workers(std::int64_t requested) {
-  util::ThreadPool& pool = util::ThreadPool::global();
-  // Keep at least one pool thread free: a resident worker parks in
-  // next_batch, and a pool whose every thread is parked would starve other
-  // parallel_for users.
-  const std::int64_t available =
-      pool.size() > 1 ? static_cast<std::int64_t>(pool.size()) - 1 : 0;
-  num_workers_ = std::min(requested, available);
-  if (requested > 0 && num_workers_ == 0) {
-    SNNSEC_LOG_WARN("serve: thread pool too small for "
-                    << requested
-                    << " resident workers; falling back to inline execution");
-  }
-  const std::int64_t contexts = std::max<std::int64_t>(num_workers_, 1);
-  // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time worker construction.
-  workers_.reserve(static_cast<std::size_t>(contexts));
-  for (std::int64_t i = 0; i < contexts; ++i) {
-    // NOLINTNEXTLINE(snnsec-hot-alloc): startup-time worker construction.
-    workers_.push_back(make_worker_context(i));
-  }
-  {
-    std::lock_guard<std::mutex> lk(join_m_);
-    live_workers_ = num_workers_;
-  }
-  for (std::int64_t i = 0; i < num_workers_; ++i) {
-    Worker* w = workers_[static_cast<std::size_t>(i)].get();
-    pool.submit([this, w] { worker_loop(*w); });
-  }
-  if (num_workers_ > 0)
-    SNNSEC_LOG_INFO("serve: " << num_workers_
-                              << " resident workers on the global pool");
+  if (!sup_) return true;
+  r.params = r.model->parameters();
+  r.lifs.clear();
+  nn::Sequential& net = r.model->net();
+  for (std::size_t i = 0; i < net.size(); ++i)
+    if (auto* lif = dynamic_cast<snn::LifLayer*>(&net.layer(i)))
+      // NOLINTNEXTLINE(snnsec-hot-alloc): startup/respawn-time construction.
+      r.lifs.push_back(lif);
+  r.canary_runner = std::make_unique<snn::AnytimeRunner>(*r.model);
+  r.canary_runner->run(sup_->probe());
+  r.last_canary_ms.store(now_ms(), std::memory_order_relaxed);
+  return sup_->logits_ok(r.canary_runner->logits());
 }
 
 bool Server::infer(const Tensor& x, const RequestOptions& opt,
@@ -276,12 +261,7 @@ bool Server::infer(const Tensor& x, const RequestOptions& opt,
   SNNSEC_GAUGE_SET("serve.queue_depth",
                    static_cast<double>(batcher_.depth()));
 
-  if (num_workers_ == 0) {
-    drive_inline(s);
-  } else {
-    std::unique_lock<std::mutex> lk(s.m);
-    s.cv.wait(lk, [&s] { return s.done; });
-  }
+  drive_inline(s);
   batcher_.release(slot_idx);
   return out.status == ResultStatus::kOk;
 }
@@ -301,45 +281,16 @@ void Server::drive_inline(Slot& own) {
     // the execution lock), so next_batch is guaranteed to make progress.
     // With supervision, heal/canary first: a requeued request must not
     // land back on the quarantined replica it just escaped.
-    Worker& w = *workers_.front();
-    if (sup_) maintain(w);
+    if (sup_) maintain();
     // NOLINTNEXTLINE(snnsec-lock-across-wait): inline_m_ serializes inline executors; wait bounded by flush deadline
-    const std::int64_t n = batcher_.next_batch(w.slots.data());
-    if (n > 0) execute_batch(w, n);
+    const std::int64_t n = batcher_.next_batch(rep_.slots.data());
+    if (n > 0) execute_batch(n);
   }
-}
-
-void Server::worker_loop(Worker& w) {
-  const bool supervised = sup_ != nullptr;
-  // Supervised workers poll with a timeout so canaries and healing run
-  // even when no traffic arrives.
-  const std::int64_t tick_us = 20000;
-  for (;;) {
-    if (supervised && w.deposed.load(std::memory_order_acquire)) break;
-    std::int64_t n;
-    if (supervised) {
-      n = batcher_.next_batch_for(w.slots.data(), tick_us);
-      if (n == 0) break;  // stopped and drained
-      if (n < 0) {        // idle tick: maintenance window
-        maintain(w);
-        continue;
-      }
-    } else {
-      n = batcher_.next_batch(w.slots.data());
-      if (n == 0) break;
-    }
-    execute_batch(w, n);
-    if (supervised) maintain(w);
-  }
-  {
-    std::lock_guard<std::mutex> lk(join_m_);
-    --live_workers_;
-  }
-  join_cv_.notify_all();
 }
 
 // SNNSEC_HOT entry: per-batch inference drive, reached from every request.
-void Server::execute_batch(Worker& w, std::int64_t n) {
+void Server::execute_batch(std::int64_t n) {
+  Replica& r = rep_;
   const auto exec_start = std::chrono::steady_clock::now();
   const std::int64_t batch_id =
       batches_.fetch_add(1, std::memory_order_relaxed);
@@ -351,37 +302,27 @@ void Server::execute_batch(Worker& w, std::int64_t n) {
                    static_cast<double>(batcher_.depth()));
 
   if (sup_) {
-    w.hb_ms.store(elapsed_us(start_, exec_start) / 1000,
+    r.hb_ms.store(elapsed_us(start_, exec_start) / 1000,
                   std::memory_order_relaxed);
-    w.current_batch.store(batch_id, std::memory_order_relaxed);
-    w.busy.store(true, std::memory_order_release);
+    r.current_batch.store(batch_id, std::memory_order_relaxed);
+    r.busy.store(true, std::memory_order_release);
   }
-  // Publish the batch's in-flight rows before anything that can stall —
-  // including the chaos hook's simulated wedges: the watchdog can only
-  // rescue slots it can see, and a real stall can land at any point after
-  // the pop.
   for (std::int64_t i = 0; i < n; ++i) {
-    Slot& s = *slots_[static_cast<std::size_t>(w.slots[
+    Slot& s = *slots_[static_cast<std::size_t>(r.slots[
         static_cast<std::size_t>(i)])];
-    w.finalized[static_cast<std::size_t>(i)] = 0;
+    r.finalized[static_cast<std::size_t>(i)] = 0;
     // Latch the retry epoch: we may deliver this row only while it still
     // matches (a requeue bumps it).
-    w.epochs[static_cast<std::size_t>(i)] =
+    r.epochs[static_cast<std::size_t>(i)] =
         s.epoch.load(std::memory_order_acquire);
-    if (sup_) {
-      s.attempts.fetch_add(1, std::memory_order_relaxed);
-      w.active_slots[static_cast<std::size_t>(i)].store(
-          w.slots[static_cast<std::size_t>(i)], std::memory_order_relaxed);
-    }
+    if (sup_) s.attempts.fetch_add(1, std::memory_order_relaxed);
   }
-  if (sup_) w.active_n.store(n, std::memory_order_release);
 
   if (cfg_.chaos_on_batch) {
     ChaosContext ctx;
-    ctx.replica_id = w.id;
     ctx.batch_id = batch_id;
-    ctx.respawns = w.respawns.load(std::memory_order_relaxed);
-    ctx.model = w.model.get();
+    ctx.respawns = r.respawns;
+    ctx.model = r.model.get();
     cfg_.chaos_on_batch(ctx);
   }
 
@@ -401,46 +342,46 @@ void Server::execute_batch(Worker& w, std::int64_t n) {
   }
   {
     SNNSEC_TRACE_SCOPE_ID("serve.batch.flush", batch_id);
-    if (w.batch_input.ndim() != 4 || w.batch_input.dim(0) != n ||
-        w.batch_input.dim(1) != arch.in_channels ||
-        w.batch_input.dim(2) != arch.image_size ||
-        w.batch_input.dim(3) != arch.image_size)
-      w.batch_input = Tensor(
+    if (r.batch_input.ndim() != 4 || r.batch_input.dim(0) != n ||
+        r.batch_input.dim(1) != arch.in_channels ||
+        r.batch_input.dim(2) != arch.image_size ||
+        r.batch_input.dim(3) != arch.image_size)
+      r.batch_input = Tensor(
           Shape{n, arch.in_channels, arch.image_size, arch.image_size});
     for (std::int64_t i = 0; i < n; ++i) {
-      Slot& s = *slots_[static_cast<std::size_t>(w.slots[
+      Slot& s = *slots_[static_cast<std::size_t>(r.slots[
           static_cast<std::size_t>(i)])];
       std::copy(s.input.data(), s.input.data() + image,
-                w.batch_input.data() + i * image);
+                r.batch_input.data() + i * image);
       const std::int64_t user =
           s.opt.max_steps > 0 ? std::min(s.opt.max_steps, t_max) : t_max;
-      w.budget[static_cast<std::size_t>(i)] = std::min(user, governed);
-      w.degraded[static_cast<std::size_t>(i)] =
-          w.budget[static_cast<std::size_t>(i)] < user ? 1 : 0;
+      r.budget[static_cast<std::size_t>(i)] = std::min(user, governed);
+      r.degraded[static_cast<std::size_t>(i)] =
+          r.budget[static_cast<std::size_t>(i)] < user ? 1 : 0;
     }
   }
 
   try {
     SNNSEC_TRACE_SCOPE_ID("serve.batch.forward", batch_id);
-    w.runner->begin(w.batch_input);
+    r.runner->begin(r.batch_input);
     std::int64_t remaining = n;
     for (std::int64_t t = 1; t <= t_max && remaining > 0; ++t) {
-      w.runner->step();
+      r.runner->step();
       const auto now = std::chrono::steady_clock::now();
       if (sup_)
-        w.hb_ms.store(elapsed_us(start_, now) / 1000,
+        r.hb_ms.store(elapsed_us(start_, now) / 1000,
                       std::memory_order_relaxed);
       for (std::int64_t i = 0; i < n; ++i) {
-        if (w.finalized[static_cast<std::size_t>(i)]) continue;
-        Slot& s = *slots_[static_cast<std::size_t>(w.slots[
+        if (r.finalized[static_cast<std::size_t>(i)]) continue;
+        Slot& s = *slots_[static_cast<std::size_t>(r.slots[
             static_cast<std::size_t>(i)])];
-        const bool out_of_budget = t >= w.budget[static_cast<std::size_t>(i)];
+        const bool out_of_budget = t >= r.budget[static_cast<std::size_t>(i)];
         const bool past_deadline =
             s.has_deadline && t >= cfg_.min_steps && now >= s.deadline;
         if (out_of_budget || past_deadline) {
           SNNSEC_TRACE_SCOPE_ID("serve.batch.finalize", batch_id);
-          finalize(s, w, i, t, n, exec_start);
-          w.finalized[static_cast<std::size_t>(i)] = 1;
+          finalize(s, i, t, n, exec_start);
+          r.finalized[static_cast<std::size_t>(i)] = 1;
           --remaining;
         }
       }
@@ -448,44 +389,44 @@ void Server::execute_batch(Worker& w, std::int64_t n) {
   } catch (const std::exception& e) {
     if (sup_) {
       // The replica is suspect; requeue the batch's unfinalized requests
-      // so a healthy replica (or this one, post-heal) re-runs them.
-      quarantine(w, "batch execution threw");
+      // so the replica re-runs them once healed.
+      quarantine("batch execution threw");
       for (std::int64_t i = 0; i < n; ++i) {
-        if (w.finalized[static_cast<std::size_t>(i)]) continue;
-        retry_slot(w.slots[static_cast<std::size_t>(i)],
-                   w.epochs[static_cast<std::size_t>(i)], e.what(), n);
-        w.finalized[static_cast<std::size_t>(i)] = 1;
+        if (r.finalized[static_cast<std::size_t>(i)]) continue;
+        retry_slot(r.slots[static_cast<std::size_t>(i)],
+                   r.epochs[static_cast<std::size_t>(i)], e.what(), n);
+        r.finalized[static_cast<std::size_t>(i)] = 1;
       }
     } else {
       for (std::int64_t i = 0; i < n; ++i) {
-        if (w.finalized[static_cast<std::size_t>(i)]) continue;
-        Slot& s = *slots_[static_cast<std::size_t>(w.slots[
+        if (r.finalized[static_cast<std::size_t>(i)]) continue;
+        Slot& s = *slots_[static_cast<std::size_t>(r.slots[
             static_cast<std::size_t>(i)])];
         deliver_error(s, e.what(), n,
-                      w.epochs[static_cast<std::size_t>(i)]);
-        w.finalized[static_cast<std::size_t>(i)] = 1;
+                      r.epochs[static_cast<std::size_t>(i)]);
+        r.finalized[static_cast<std::size_t>(i)] = 1;
       }
     }
   }
   if (sup_) {
-    w.active_n.store(0, std::memory_order_release);
-    w.busy.store(false, std::memory_order_release);
+    r.busy.store(false, std::memory_order_release);
     last_batch_end_ms_.store(now_ms(), std::memory_order_relaxed);
   }
 }
 
-void Server::finalize(Slot& s, Worker& w, std::int64_t row,
-                      std::int64_t steps, std::int64_t batch_size,
+void Server::finalize(Slot& s, std::int64_t row, std::int64_t steps,
+                      std::int64_t batch_size,
                       std::chrono::steady_clock::time_point exec_start) {
-  const snn::AnytimeRunner& runner = *w.runner;
+  const snn::AnytimeRunner& runner = *rep_.runner;
   const std::int64_t classes = num_classes();
   const float* logits = runner.logits().data() + row * classes;
 
   if (sup_) {
     // Non-finite logits (NaN storm, exponent-bit weight flip) never reach a
     // caller under supervision: quarantine the replica and retry the
-    // request elsewhere. Unsupervised servers deliver them unchanged — the
-    // chaos bench's supervision-off arm measures exactly that damage.
+    // request once it is healed. Unsupervised servers deliver them
+    // unchanged — the chaos bench's supervision-off arm measures exactly
+    // that damage.
     bool finite = true;
     for (std::int64_t c = 0; c < classes; ++c) {
       if (!std::isfinite(logits[c])) {
@@ -495,9 +436,9 @@ void Server::finalize(Slot& s, Worker& w, std::int64_t row,
     }
     if (!finite) {
       sup_->note_nonfinite();
-      quarantine(w, "non-finite logits");
-      retry_slot(w.slots[static_cast<std::size_t>(row)],
-                 w.epochs[static_cast<std::size_t>(row)],
+      quarantine("non-finite logits");
+      retry_slot(rep_.slots[static_cast<std::size_t>(row)],
+                 rep_.epochs[static_cast<std::size_t>(row)],
                  "non-finite logits", batch_size);
       return;
     }
@@ -508,9 +449,9 @@ void Server::finalize(Slot& s, Worker& w, std::int64_t row,
   if (envelope_) {
     // Freeze this request's activity summary at its truncation depth and
     // score it against the clean bands — both allocation-free after the
-    // first response through this worker.
-    w.sketch.finalize(row, w.sketch_out);
-    anomaly = envelope_->score(w.sketch_out);
+    // first response through this replica.
+    rep_.sketch.finalize(row, rep_.sketch_out);
+    anomaly = envelope_->score(rep_.sketch_out);
     flagged = anomaly >= cfg_.flag_threshold;
   }
 
@@ -523,7 +464,7 @@ void Server::finalize(Slot& s, Worker& w, std::int64_t row,
     std::lock_guard<std::mutex> lk(s.m);
     const bool stale =
         s.done || s.epoch.load(std::memory_order_relaxed) !=
-                      w.epochs[static_cast<std::size_t>(row)];
+                      rep_.epochs[static_cast<std::size_t>(row)];
     if (!stale) {
       InferResult& r = *s.out;
       // Caller-owned result buffer: grows only on the first response
@@ -548,7 +489,7 @@ void Server::finalize(Slot& s, Worker& w, std::int64_t row,
       r.flagged = flagged;
       r.attempts = std::max<std::int64_t>(
           1, s.attempts.load(std::memory_order_relaxed));
-      r.degraded = w.degraded[static_cast<std::size_t>(row)] != 0;
+      r.degraded = rep_.degraded[static_cast<std::size_t>(row)] != 0;
       r.error.clear();
       if (flagged && cfg_.detect_policy == DetectPolicy::kReject)
         r.status = ResultStatus::kFlagged;
@@ -558,8 +499,7 @@ void Server::finalize(Slot& s, Worker& w, std::int64_t row,
       delivered = true;
     }
   }
-  if (!delivered) return;  // a retry/rescue owns this request now
-  s.cv.notify_one();
+  if (!delivered) return;  // a retry owns this request now
 
   if (envelope_) {
     SNNSEC_HISTOGRAM_OBSERVE("serve.detect.score", anomaly, 0.5, 1, 2, 4, 8,
@@ -598,8 +538,7 @@ void Server::deliver_error(Slot& s, const char* what,
     // NOLINTNEXTLINE(snnsec-hot-path-lock): per-slot delivery lock, error path only
     std::lock_guard<std::mutex> lk(s.m);
     const bool stale =
-        s.done || (latched_epoch >= 0 &&
-                   s.epoch.load(std::memory_order_relaxed) != latched_epoch);
+        s.done || s.epoch.load(std::memory_order_relaxed) != latched_epoch;
     if (!stale) {
       InferResult& r = *s.out;
       r.status = ResultStatus::kError;
@@ -623,81 +562,55 @@ void Server::deliver_error(Slot& s, const char* what,
   if (!delivered) return;
   errors_.fetch_add(1, std::memory_order_relaxed);
   SNNSEC_COUNTER_ADD("serve.errors", 1);
-  s.cv.notify_one();
 }
 
 void Server::retry_slot(std::int64_t slot_idx, std::int64_t latched_epoch,
                         const char* why, std::int64_t batch_size) {
   Slot& s = *slots_[static_cast<std::size_t>(slot_idx)];
-  bool requeued = false;
-  bool exhausted = false;
+  bool requeue = false;
   {
     // NOLINTNEXTLINE(snnsec-hot-path-lock): per-slot retry lock, canary path only
     std::lock_guard<std::mutex> lk(s.m);
-    if (s.done) return;
-    const std::int64_t cur = s.epoch.load(std::memory_order_relaxed);
-    if (latched_epoch >= 0 && cur != latched_epoch) return;
-    if (s.attempts.load(std::memory_order_relaxed) >= sup_->max_attempts()) {
-      const auto now = std::chrono::steady_clock::now();
-      InferResult& r = *s.out;
-      r.status = ResultStatus::kError;
-      r.pred = -1;
-      r.steps_used = 0;
-      r.time_steps = time_steps();
-      r.truncated = false;
-      r.batch_size = batch_size;
-      r.queue_us = 0;
-      r.latency_us = elapsed_us(s.submitted, now);
-      r.anomaly_score = -1.0;
-      r.flagged = false;
-      r.attempts = s.attempts.load(std::memory_order_relaxed);
-      r.degraded = false;
-      r.error = why;
-      s.done = true;
-      exhausted = true;
-    } else {
-      // Bump the epoch first: any stale executor's delivery becomes a
-      // no-op before the request re-enters the queue.
-      s.epoch.store(cur + 1, std::memory_order_release);
-      requeued = true;
-    }
+    if (s.done || s.epoch.load(std::memory_order_relaxed) != latched_epoch)
+      return;
+    requeue =
+        s.attempts.load(std::memory_order_relaxed) < sup_->max_attempts();
+    // Bump the epoch first: any stale executor's delivery becomes a no-op
+    // before the request re-enters the queue.
+    if (requeue) s.epoch.store(latched_epoch + 1, std::memory_order_release);
   }
-  if (exhausted) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    SNNSEC_COUNTER_ADD("serve.errors", 1);
-    s.cv.notify_one();
+  if (!requeue) {  // retry budget exhausted: an honest error
+    deliver_error(s, why, batch_size, latched_epoch);
     return;
   }
-  if (requeued) {
-    sup_->note_retry();
-    // enqueue admits even after stop(): a draining server still owes every
-    // admitted request an answer.
-    batcher_.enqueue(slot_idx);
-  }
+  sup_->note_retry();
+  // enqueue admits even after stop(): a draining server still owes every
+  // admitted request an answer.
+  batcher_.enqueue(slot_idx);
 }
 
-void Server::quarantine(Worker& w, const char* reason) {
+void Server::quarantine(const char* reason) {
   ReplicaState expected = ReplicaState::kHealthy;
-  if (w.state.compare_exchange_strong(expected, ReplicaState::kQuarantined)) {
+  if (rep_.state.compare_exchange_strong(expected,
+                                         ReplicaState::kQuarantined)) {
     sup_->note_canary_failure(reason);
     sup_->note_quarantine();
-    SNNSEC_LOG_WARN("serve: replica " << w.id << " quarantined: " << reason);
+    SNNSEC_LOG_WARN("serve: replica quarantined: " << reason);
   }
 }
 
-void Server::maintain(Worker& w) {
-  if (w.deposed.load(std::memory_order_acquire) ||
-      w.supervision_disabled.load(std::memory_order_relaxed))
-    return;
-  if (w.state.load(std::memory_order_acquire) == ReplicaState::kQuarantined) {
-    heal(w);
+void Server::maintain() {
+  Replica& r = rep_;
+  if (r.supervision_disabled.load(std::memory_order_relaxed)) return;
+  if (r.state.load(std::memory_order_acquire) == ReplicaState::kQuarantined) {
+    heal();
     return;
   }
   const SupervisorConfig& sc = cfg_.supervisor;
   if (sc.fast_canary_every > 0 &&
-      ++w.batches_since_canary >= sc.fast_canary_every) {
-    w.batches_since_canary = 0;
-    fast_canary(w);
+      ++r.batches_since_canary >= sc.fast_canary_every) {
+    r.batches_since_canary = 0;
+    fast_canary();
   }
   // Deep canary only in real idle windows (empty queue AND a batch-free
   // grace period): a probe inference mid-traffic would show up directly in
@@ -707,210 +620,124 @@ void Server::maintain(Worker& w) {
   if (sc.canary_interval_ms > 0 && batcher_.depth() == 0 &&
       now - last_batch_end_ms_.load(std::memory_order_relaxed) >=
           kDeepCanaryIdleGraceMs &&
-      now - w.last_canary_ms.load(std::memory_order_relaxed) >=
+      now - r.last_canary_ms.load(std::memory_order_relaxed) >=
           sc.canary_interval_ms)
-    deep_canary(w);
-  if (w.state.load(std::memory_order_acquire) == ReplicaState::kQuarantined)
-    heal(w);
+    deep_canary();
+  if (r.state.load(std::memory_order_acquire) == ReplicaState::kQuarantined)
+    heal();
 }
 
-void Server::fast_canary(Worker& w) {
+void Server::fast_canary() {
   sup_->note_fast_canary();
-  for (snn::LifLayer* lif : w.lifs) {
+  for (snn::LifLayer* lif : rep_.lifs) {
     if (lif->spike_fault().any()) {
-      quarantine(w, "armed spike fault detected on replica");
+      quarantine("armed spike fault detected on replica");
       return;
     }
   }
-  if (Supervisor::weights_digest(w.params) != sup_->golden_weights_digest())
-    quarantine(w, "weights digest diverged from golden");
+  if (Supervisor::weights_digest(rep_.params) !=
+      sup_->golden_weights_digest())
+    quarantine("weights digest diverged from golden");
 }
 
-void Server::deep_canary(Worker& w) {
+void Server::deep_canary() {
   sup_->note_deep_canary();
-  SNNSEC_TRACE_SCOPE_ID("serve.canary", w.id);
+  SNNSEC_TRACE_SCOPE_ID("serve.canary", rep_.respawns);
   try {
-    w.canary_runner->run(sup_->probe());
-    if (!sup_->logits_ok(w.canary_runner->logits()))
-      quarantine(w, "canary logits diverged from golden");
+    rep_.canary_runner->run(sup_->probe());
+    if (!sup_->logits_ok(rep_.canary_runner->logits()))
+      quarantine("canary logits diverged from golden");
   } catch (const std::exception&) {
     // e.g. an armed spike fault the fast tier has not scanned yet: the
     // canary runner refuses faulted models by design.
-    quarantine(w, "canary inference threw");
+    quarantine("canary inference threw");
   }
-  w.last_canary_ms.store(now_ms(), std::memory_order_relaxed);
+  rep_.last_canary_ms.store(now_ms(), std::memory_order_relaxed);
 }
 
-void Server::heal(Worker& w) {
+void Server::heal() {
+  Replica& r = rep_;
   const SupervisorConfig& sc = cfg_.supervisor;
-  if (w.respawns.load(std::memory_order_relaxed) >= sc.max_respawns) {
-    if (num_workers_ == 0) {
-      // The inline context is the only executor; keep serving unsupervised
-      // rather than wedging every client.
-      w.supervision_disabled.store(true, std::memory_order_relaxed);
-      w.state.store(ReplicaState::kHealthy);
-      SNNSEC_LOG_WARN(
-          "serve: inline replica exhausted its respawn budget; supervision "
-          "disabled");
-    } else {
-      w.deposed.store(true, std::memory_order_release);
-      w.state.store(ReplicaState::kDeposed);
-      SNNSEC_LOG_WARN("serve: worker " << w.id
-                                       << " exhausted its respawn budget; "
-                                          "deposed");
-    }
+  if (r.respawns >= sc.max_respawns) {
+    // The replica is the only executor; keep serving unsupervised rather
+    // than wedging every client.
+    r.supervision_disabled.store(true, std::memory_order_relaxed);
+    r.state.store(ReplicaState::kHealthy);
+    SNNSEC_LOG_WARN(
+        "serve: replica exhausted its respawn budget; supervision disabled");
     return;
   }
-  SNNSEC_TRACE_SCOPE_ID("serve.respawn", w.id);
+  ++r.respawns;
+  SNNSEC_TRACE_SCOPE_ID("serve.respawn", r.respawns);
   // Respawn path, not steady state: stamping a fresh replica allocates.
-  w.model = artifact_->make_replica();
-  w.params = w.model->parameters();
-  w.lifs.clear();
-  nn::Sequential& net = w.model->net();
-  for (std::size_t i = 0; i < net.size(); ++i)
-    if (auto* lif = dynamic_cast<snn::LifLayer*>(&net.layer(i)))
-      // NOLINTNEXTLINE(snnsec-hot-alloc): respawn path, not steady state.
-      w.lifs.push_back(lif);
-  w.runner = std::make_unique<snn::AnytimeRunner>(*w.model,
-                                                  cfg_.allow_faults);
-  if (envelope_) w.runner->set_sketch(&w.sketch);
-  w.canary_runner = std::make_unique<snn::AnytimeRunner>(*w.model);
-  w.respawns.fetch_add(1, std::memory_order_relaxed);
+  const bool verified = stamp_replica();
   sup_->note_respawn();
-  // Boot-verify the fresh replica before returning it to duty.
-  w.canary_runner->run(sup_->probe());
-  const bool verified = sup_->logits_ok(w.canary_runner->logits());
-  w.last_canary_ms.store(now_ms(), std::memory_order_relaxed);
-  w.state.store(ReplicaState::kHealthy);
+  r.state.store(ReplicaState::kHealthy);
   if (verified) {
-    SNNSEC_LOG_INFO("serve: replica "
-                    << w.id << " respawned from artifact (respawn "
-                    << w.respawns.load(std::memory_order_relaxed) << "/"
-                    << sc.max_respawns << ")");
+    SNNSEC_LOG_INFO("serve: replica respawned from artifact (respawn "
+                    << r.respawns << "/" << sc.max_respawns << ")");
   } else {
     // A pristine replica failing its boot canary means the golden state
     // itself is suspect; serve rather than heal-loop (the next canary
     // re-checks, bounded by the respawn budget).
-    SNNSEC_LOG_WARN("serve: replica " << w.id
-                                      << " respawned but failed its boot "
-                                         "canary; serving anyway");
+    SNNSEC_LOG_WARN(
+        "serve: replica respawned but failed its boot canary; serving "
+        "anyway");
   }
 }
 
 void Server::supervise_loop() {
   const SupervisorConfig& sc = cfg_.supervisor;
+  Replica& r = rep_;
   for (;;) {
     // Small sleep slices so stop() joins promptly.
     for (int i = 0; i < 5; ++i) {
       if (sup_stop_.load(std::memory_order_acquire)) return;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+    if (r.supervision_disabled.load(std::memory_order_relaxed)) continue;
     const std::int64_t now = now_ms();
-    if (num_workers_ == 0) {
-      Worker& w = *workers_.front();
-      if (w.supervision_disabled.load(std::memory_order_relaxed)) continue;
-      if (sc.heartbeat_timeout_ms > 0 &&
-          w.busy.load(std::memory_order_acquire)) {
-        const std::int64_t hb = w.hb_ms.load(std::memory_order_relaxed);
-        const std::int64_t cur =
-            w.current_batch.load(std::memory_order_relaxed);
-        if (now - hb > sc.heartbeat_timeout_ms &&
-            cur != w.last_trip_batch) {
-          // Inline mode cannot depose the driving client thread; record
-          // the trip and quarantine so the post-batch maintain() heals.
-          w.last_trip_batch = cur;
-          sup_->note_watchdog_trip();
-          quarantine(w, "heartbeat missed (stalled inline batch)");
-        }
+    if (sc.heartbeat_timeout_ms > 0 &&
+        r.busy.load(std::memory_order_acquire)) {
+      const std::int64_t hb = r.hb_ms.load(std::memory_order_relaxed);
+      const std::int64_t cur = r.current_batch.load(std::memory_order_relaxed);
+      if (now - hb > sc.heartbeat_timeout_ms && cur != r.last_trip_batch) {
+        // The stalled batch runs on a caller's thread, which cannot be
+        // preempted: record the trip and quarantine, so the batch's
+        // deliveries stand and maintain() heals before the next batch.
+        r.last_trip_batch = cur;
+        sup_->note_watchdog_trip();
+        quarantine("heartbeat missed (stalled batch)");
       }
-      // Deep canary / heal only when the server looks idle (see maintain);
-      // a client blocked behind the probe would pay for it in tail latency.
-      if (sc.canary_interval_ms > 0 &&
-          !w.busy.load(std::memory_order_acquire) && batcher_.depth() == 0 &&
-          now - last_batch_end_ms_.load(std::memory_order_relaxed) >=
-              kDeepCanaryIdleGraceMs &&
-          now - w.last_canary_ms.load(std::memory_order_relaxed) >=
-              sc.canary_interval_ms) {
-        // try_lock: never block the supervisor behind a wedged batch.
-        std::unique_lock<std::mutex> lk(inline_m_, std::try_to_lock);
-        if (lk.owns_lock()) {
-          if (w.state.load(std::memory_order_acquire) ==
-              ReplicaState::kQuarantined) {
-            heal(w);
-          } else {
-            deep_canary(w);
-            if (w.state.load(std::memory_order_acquire) ==
-                ReplicaState::kQuarantined)
-              heal(w);
-          }
-        }
-      }
-    } else {
-      if (sc.heartbeat_timeout_ms <= 0) continue;
-      for (std::size_t i = 0; i < workers_.size(); ++i) {
-        Worker& w = *workers_[i];
-        if (w.deposed.load(std::memory_order_acquire)) continue;
-        if (!w.busy.load(std::memory_order_acquire)) continue;
-        const std::int64_t hb = w.hb_ms.load(std::memory_order_relaxed);
-        if (now - hb > sc.heartbeat_timeout_ms) depose_and_respawn(w, now);
+    }
+    // Deep canary / heal only when the server looks idle (see maintain);
+    // a client blocked behind the probe would pay for it in tail latency.
+    if (sc.canary_interval_ms > 0 && !r.busy.load(std::memory_order_acquire) &&
+        batcher_.depth() == 0 &&
+        now - last_batch_end_ms_.load(std::memory_order_relaxed) >=
+            kDeepCanaryIdleGraceMs &&
+        now - r.last_canary_ms.load(std::memory_order_relaxed) >=
+            sc.canary_interval_ms) {
+      // try_lock: never block the supervisor behind a wedged batch.
+      std::unique_lock<std::mutex> lk(inline_m_, std::try_to_lock);
+      if (lk.owns_lock()) {
+        if (r.state.load(std::memory_order_acquire) !=
+            ReplicaState::kQuarantined)
+          deep_canary();
+        if (r.state.load(std::memory_order_acquire) ==
+            ReplicaState::kQuarantined)
+          heal();
       }
     }
   }
 }
 
-void Server::depose_and_respawn(Worker& w, std::int64_t now) {
-  sup_->note_watchdog_trip();
-  sup_->note_canary_failure("heartbeat missed");
-  sup_->note_quarantine();
-  w.state.store(ReplicaState::kDeposed);
-  w.deposed.store(true, std::memory_order_release);
-  SNNSEC_LOG_WARN("serve: worker "
-                  << w.id << " missed its heartbeat ("
-                  << now - w.hb_ms.load(std::memory_order_relaxed)
-                  << " ms); deposing and rescuing its batch");
-  // Rescue the wedged batch: every row the worker has not delivered is
-  // re-enqueued (or failed, if out of attempts). Slot epochs make the
-  // deposed worker's eventual late deliveries no-ops.
-  SNNSEC_TRACE_SCOPE_ID("serve.rescue", w.id);
-  const std::int64_t nact = w.active_n.load(std::memory_order_acquire);
-  for (std::int64_t i = 0; i < nact; ++i) {
-    const std::int64_t slot_idx =
-        w.active_slots[static_cast<std::size_t>(i)].load(
-            std::memory_order_relaxed);
-    sup_->note_rescue();
-    retry_slot(slot_idx, -1, "worker deposed by watchdog", nact);
-  }
-  // Replacement replica, subject to the fleet-wide respawn budget.
-  if (sup_->stats().respawns >= cfg_.supervisor.max_respawns) {
-    SNNSEC_LOG_WARN("serve: respawn budget exhausted; no replacement for "
-                    "worker "
-                    << w.id);
-    return;
-  }
-  SNNSEC_TRACE_SCOPE_ID("serve.respawn", static_cast<std::int64_t>(
-                                             workers_.size()));
-  // NOLINTNEXTLINE(snnsec-hot-alloc): respawn path, not steady state.
-  workers_.push_back(make_worker_context(
-      static_cast<std::int64_t>(workers_.size())));
-  Worker* fresh = workers_.back().get();
-  {
-    std::lock_guard<std::mutex> lk(join_m_);
-    ++live_workers_;
-  }
-  sup_->note_respawn();
-  util::ThreadPool::global().submit([this, fresh] { worker_loop(*fresh); });
-  SNNSEC_LOG_INFO("serve: replacement worker " << fresh->id << " spawned");
-}
-
 void Server::stop() {
-  stopping_.store(true);
   if (sup_thread_.joinable()) {
     sup_stop_.store(true, std::memory_order_release);
     sup_thread_.join();
   }
   batcher_.stop();
-  std::unique_lock<std::mutex> lk(join_m_);
-  join_cv_.wait(lk, [this] { return live_workers_ == 0; });
 }
 
 ServerStats Server::stats() const {
@@ -930,7 +757,6 @@ ServerStats Server::stats() const {
     s.respawns = h.respawns;
     s.watchdog_trips = h.watchdog_trips;
     s.retries = h.retries;
-    s.rescues = h.rescues;
     s.degraded = h.degraded;
   }
   return s;

@@ -2,37 +2,33 @@
 //
 // Request path:
 //   infer() -> MicroBatcher admission (shed at capacity) -> micro-batch
-//   formed on size/delay -> a worker's AnytimeRunner steps the batch
+//   formed on size/delay -> the replica's AnytimeRunner steps the batch
 //   through the time window, finalizing each request as its own step
 //   budget or wall-clock deadline is reached -> result delivered to the
-//   blocked caller.
+//   caller.
 //
-// Execution modes:
-//   workers >= 1 — that many long-lived tasks on util::ThreadPool::global()
-//     pull batches concurrently. Each worker owns a private model replica
-//     (stamped from the shared ModelCache artifact) and an AnytimeRunner,
-//     and runs on its own pool thread, so per-thread util::Workspace arenas
-//     never contend. The worker count is clamped to pool_size - 1 so at
-//     least one pool thread stays free for nested parallel_for users; when
-//     the pool is too small (SNNSEC_THREADS=1) the server falls back to
-//     inline mode.
-//   workers == 0 (inline) — no resident threads: submitting threads drive
-//     batch execution themselves under an execution lock. Deterministic and
-//     thread-free, the mode tests and single-threaded benches use.
+// Execution model: there are no resident threads. Submitting threads drive
+// batch execution themselves, one at a time under an execution lock: a
+// caller whose request is still pending takes the lock, pops the next batch
+// (which may hold other callers' requests) and runs it on the server's one
+// model replica (stamped from the shared ModelCache artifact) until its own
+// request has been answered. Concurrency across cores comes from running
+// several Servers, as the fleet Router does with one replica per executor.
 //
 // Supervision (ServerConfig::supervisor.enabled): a serve::Supervisor turns
-// the server self-healing. Each worker replica is health-checked by fast
-// (weights digest + armed-fault scan, per batch) and deep (pinned probe vs
-// golden logits, periodic) canaries; a replica that diverges, emits
-// non-finite logits, or whose worker misses its heartbeat is quarantined
-// and respawned in place from the pristine ModelCache artifact, while its
-// in-flight requests are transparently re-enqueued under the bounded retry
-// policy (slot epochs make stale deliveries no-ops, so a request is
-// answered exactly once). A watchdog thread deposes wedged resident
-// workers, rescues their in-flight slots and spawns replacements. Under
-// queue pressure the overload governor steps the per-batch time-step budget
-// down toward the accuracy cliff before the batcher sheds. See
-// serve/supervisor.hpp for the policy and DESIGN.md §13 for the protocol.
+// the server self-healing. The replica is health-checked by fast (weights
+// digest + armed-fault scan, per batch) and deep (pinned probe vs golden
+// logits, in idle windows) canaries; a replica that diverges, emits
+// non-finite logits, or stalls mid-batch is quarantined and respawned in
+// place from the pristine ModelCache artifact, while its in-flight requests
+// are transparently re-enqueued under the bounded retry policy (slot epochs
+// make stale deliveries no-ops, so a request is answered exactly once). A
+// watchdog thread quarantines a batch that misses its heartbeat; the stalled
+// batch still finishes on its calling thread, and the replica is healed
+// before the next batch. Under queue pressure the overload governor steps
+// the per-batch time-step budget down toward the accuracy cliff before the
+// batcher sheds. See serve/supervisor.hpp for the policy and DESIGN.md §13
+// for the protocol.
 //
 // Anytime semantics: a request's logits after t steps are bit-identical to
 // evaluating the same weights with window T' = t (running-max decode), so
@@ -47,7 +43,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -86,7 +81,6 @@ const char* to_string(DetectPolicy policy);
 /// may corrupt weights, arm spike faults, or stall to exercise the
 /// supervisor. Test/bench machinery; never set in production configs.
 struct ChaosContext {
-  std::int64_t replica_id = 0;
   std::int64_t batch_id = 0;
   std::int64_t respawns = 0;  ///< respawns this replica has consumed so far
   snn::SpikingClassifier* model = nullptr;
@@ -95,8 +89,11 @@ using ChaosHook = std::function<void(const ChaosContext&)>;
 
 struct ServerConfig {
   std::string model_path;  ///< checkpoint, loaded via ModelCache::global()
-  /// Resident worker tasks on the global thread pool; 0 = inline mode.
-  std::int64_t workers = 1;
+  /// Must be 0: resident worker threads were removed and callers always
+  /// drive batches (see "Execution model" above); the constructor rejects
+  /// any other value. Kept only because perfbench still assigns it; the
+  /// next change to perfbench deletes the field.
+  std::int64_t workers = 0;
   BatcherConfig batcher;
   /// A deadline never truncates below this many time steps: the first
   /// steps of the window carry most of the readout signal, and a 0-step
@@ -142,13 +139,12 @@ struct ServerStats {
   std::int64_t respawns = 0;
   std::int64_t watchdog_trips = 0;
   std::int64_t retries = 0;
-  std::int64_t rescues = 0;
   std::int64_t degraded = 0;
 };
 
 class Server {
  public:
-  /// Load cfg.model_path through the global ModelCache and start workers.
+  /// Load cfg.model_path through the global ModelCache.
   explicit Server(ServerConfig cfg);
   /// Serve an already-loaded artifact (cfg.model_path is ignored).
   Server(ServerConfig cfg, std::shared_ptr<const ModelCache::Artifact> model);
@@ -164,16 +160,15 @@ class Server {
   bool infer(const tensor::Tensor& x, const RequestOptions& opt,
              InferResult& out);
 
-  /// Stop admitting, drain in-flight requests, join workers. Idempotent;
-  /// the destructor calls it.
+  /// Stop admitting and join the supervisor thread; requests already
+  /// admitted still drain through their callers. Idempotent; the destructor
+  /// calls it.
   void stop();
 
   ServerStats stats() const;
   const snn::SnnConfig& model_config() const { return artifact_->config(); }
   std::int64_t time_steps() const;
   std::int64_t num_classes() const;
-  /// Actual resident worker count (0 in inline mode).
-  std::int64_t worker_count() const { return num_workers_; }
 
   /// True when an envelope is installed and every request is being scored.
   bool detector_ready() const { return envelope_ != nullptr; }
@@ -192,20 +187,19 @@ class Server {
     std::chrono::steady_clock::time_point deadline;  ///< epoch = no deadline
     bool has_deadline = false;
     InferResult* out = nullptr;
-    bool done = false;
+    bool done = false;  ///< guarded by m; its caller polls it in drive_inline
     /// Retry generation. An executor latches the value at batch formation
     /// and may deliver only while it still matches; a requeue bumps it, so
-    /// a stale (quarantined/deposed) executor's delivery is a no-op.
+    /// a stale (quarantined) executor's delivery is a no-op.
     std::atomic<std::int64_t> epoch{0};
     std::atomic<std::int64_t> attempts{0};  ///< executions started
     std::mutex m;
-    std::condition_variable cv;
   };
 
-  /// Per-worker execution context: a private model replica + runner and
-  /// the reusable batch buffers. Also used (index 0) by inline mode.
-  struct Worker {
-    std::int64_t id = 0;
+  /// The execution context: the model replica + runner, the reusable batch
+  /// buffers, and the supervision state heal() rebuilds. Touched only under
+  /// inline_m_, except for the atomics the watchdog reads.
+  struct Replica {
     std::unique_ptr<snn::SpikingClassifier> model;
     std::unique_ptr<snn::AnytimeRunner> runner;
     tensor::Tensor batch_input;            ///< [B, C, H, W], reused
@@ -225,43 +219,36 @@ class Server {
     std::atomic<std::int64_t> hb_ms{0};    ///< last heartbeat (ms since start)
     std::atomic<std::int64_t> last_canary_ms{0};
     std::atomic<std::int64_t> current_batch{-1};
-    std::atomic<bool> deposed{false};
     std::atomic<bool> supervision_disabled{false};
-    std::atomic<std::int64_t> respawns{0};
-    std::int64_t batches_since_canary = 0;  ///< owner-thread only
+    std::int64_t respawns = 0;              ///< under inline_m_
+    std::int64_t batches_since_canary = 0;  ///< under inline_m_
     std::int64_t last_trip_batch = -1;      ///< supervisor-thread only
-    /// In-flight slot indices published for watchdog rescue.
-    std::vector<std::atomic<std::int64_t>> active_slots;
-    std::atomic<std::int64_t> active_n{0};
   };
 
-  std::unique_ptr<Worker> make_worker_context(std::int64_t id);
-  void start_workers(std::int64_t requested);
-  void worker_loop(Worker& w);
-  void execute_batch(Worker& w, std::int64_t n);
-  void finalize(Slot& s, Worker& w, std::int64_t row, std::int64_t steps,
+  /// (Re)build the replica's model, runners and supervision caches from the
+  /// artifact. Returns the boot-canary verdict (true when unsupervised).
+  bool stamp_replica();
+  void execute_batch(std::int64_t n);
+  void finalize(Slot& s, std::int64_t row, std::int64_t steps,
                 std::int64_t batch_size,
                 std::chrono::steady_clock::time_point exec_start);
   void deliver_error(Slot& s, const char* what, std::int64_t batch_size,
                      std::int64_t latched_epoch);
   void drive_inline(Slot& own);
-  // Supervision internals. maintain/fast_canary/deep_canary/heal run on the
-  // thread that owns the worker context (its pool thread, or the supervisor
-  // thread under inline_m_ in inline mode).
-  void maintain(Worker& w);
-  void fast_canary(Worker& w);
-  void deep_canary(Worker& w);
-  void heal(Worker& w);
-  void quarantine(Worker& w, const char* reason);
+  // Supervision internals. maintain/fast_canary/deep_canary/heal run under
+  // inline_m_, on a submitting thread or on the supervisor thread.
+  void maintain();
+  void fast_canary();
+  void deep_canary();
+  void heal();
+  void quarantine(const char* reason);
   /// Re-enqueue the request in `slot_idx` for another attempt (bumping its
   /// epoch), or deliver a final error when the retry budget is exhausted.
-  /// `latched_epoch` guards ownership (-1 = adopt the current epoch, used
-  /// by the watchdog rescuing a wedged worker's batch). No-op when the
-  /// request was already delivered or the epoch moved on.
+  /// No-op when the request was already delivered or its epoch moved on
+  /// from `latched_epoch`.
   void retry_slot(std::int64_t slot_idx, std::int64_t latched_epoch,
                   const char* why, std::int64_t batch_size);
   void supervise_loop();
-  void depose_and_respawn(Worker& w, std::int64_t now_ms);
   std::int64_t now_ms() const;
 
   ServerConfig cfg_;
@@ -273,11 +260,8 @@ class Server {
   std::chrono::steady_clock::time_point start_;
   MicroBatcher batcher_;
   std::vector<std::unique_ptr<Slot>> slots_;
-  /// Worker contexts. Grows only on the supervisor thread (replacement
-  /// spawn); Worker objects are heap-stable across growth.
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::int64_t num_workers_ = 0;  ///< 0 = inline mode
-  std::mutex inline_m_;           ///< serializes inline batch execution
+  Replica rep_;
+  std::mutex inline_m_;  ///< serializes batch execution on rep_
 
   std::unique_ptr<Supervisor> sup_;  ///< null when supervision is off
   std::thread sup_thread_;
@@ -287,11 +271,6 @@ class Server {
   /// closed-loop traffic the queue transiently empties between batches and
   /// a probe in that gap lands straight in request tail latency.
   std::atomic<std::int64_t> last_batch_end_ms_{0};
-
-  std::mutex join_m_;
-  std::condition_variable join_cv_;
-  std::int64_t live_workers_ = 0;
-  std::atomic<bool> stopping_{false};
 
   std::atomic<std::int64_t> submitted_{0};
   std::atomic<std::int64_t> completed_{0};

@@ -22,8 +22,6 @@ const char* to_string(ReplicaState state) {
       return "healthy";
     case ReplicaState::kQuarantined:
       return "quarantined";
-    case ReplicaState::kDeposed:
-      return "deposed";
   }
   return "unknown";
 }
@@ -157,11 +155,6 @@ void Supervisor::note_retry() {
   SNNSEC_COUNTER_ADD("serve.health.retries", 1);
 }
 
-void Supervisor::note_rescue() {
-  rescues_.fetch_add(1, std::memory_order_relaxed);
-  SNNSEC_COUNTER_ADD("serve.health.rescues", 1);
-}
-
 void Supervisor::note_nonfinite() {
   nonfinite_.fetch_add(1, std::memory_order_relaxed);
   SNNSEC_COUNTER_ADD("serve.health.nonfinite", 1);
@@ -181,7 +174,6 @@ SupervisorStats Supervisor::stats() const {
   s.respawns = respawns_.load(std::memory_order_relaxed);
   s.watchdog_trips = watchdog_trips_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
-  s.rescues = rescues_.load(std::memory_order_relaxed);
   s.nonfinite = nonfinite_.load(std::memory_order_relaxed);
   s.degraded = degraded_.load(std::memory_order_relaxed);
   return s;

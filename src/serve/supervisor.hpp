@@ -22,8 +22,8 @@
 //     server supervising a given checkpoint shares one probe/golden pair.
 //
 // A replica that fails either canary is quarantined and respawned in place
-// from the artifact payload; requests it had in flight are re-run on a
-// healthy replica under the bounded util::RetryPolicy. The overload
+// from the artifact payload; requests it had in flight are re-run on the
+// healed replica under the bounded util::RetryPolicy. The overload
 // governor trades accuracy for headroom before the batcher sheds: as queue
 // depth climbs between the low and high watermarks, the per-batch step
 // budget ramps from the full window T down to the floor (default: the
@@ -41,11 +41,12 @@
 
 namespace snnsec::serve {
 
-/// Health state of one worker replica.
+/// Health state of a server's replica. A quarantined replica is respawned
+/// from the artifact before it runs another batch.
 enum class ReplicaState : std::uint8_t {
   kHealthy,      ///< serving; canaries green
-  kQuarantined,  ///< canary diverged / non-finite output; heal before reuse
-  kDeposed,      ///< watchdog gave up on the worker; a replacement serves
+  kQuarantined,  ///< canary diverged / non-finite output / missed
+                 ///< heartbeat; heal before reuse
 };
 
 const char* to_string(ReplicaState state);
@@ -68,12 +69,13 @@ struct SupervisorConfig {
   /// a non-finite logit fails at any tolerance.
   double canary_tolerance = 0.0;
 
-  /// Watchdog: a worker that reports busy without a heartbeat for this long
-  /// is deposed (its in-flight requests rescued, a replacement spawned).
+  /// Watchdog: a batch that runs this long without a heartbeat (one per
+  /// time step) quarantines the replica. The batch still finishes on its
+  /// calling thread; the replica is respawned before the next batch.
   /// 0 disables the watchdog.
   std::int64_t heartbeat_timeout_ms = 1000;
-  /// Respawn budget per worker context; when exhausted the context stops
-  /// healing (resident: deposed for good, inline: supervision disabled).
+  /// Respawn budget per server; once spent, the server stops healing and
+  /// keeps serving with supervision disabled.
   std::int64_t max_respawns = 16;
   /// Request retry bound. Only max_attempts is consulted — a retried
   /// request re-enters the batcher immediately, it never sleeps.
@@ -99,7 +101,6 @@ struct SupervisorStats {
   std::int64_t respawns = 0;
   std::int64_t watchdog_trips = 0;
   std::int64_t retries = 0;   ///< requests re-enqueued after a bad replica
-  std::int64_t rescues = 0;   ///< in-flight requests pulled off a deposed worker
   std::int64_t nonfinite = 0; ///< finalizations rejected for non-finite logits
   std::int64_t degraded = 0;  ///< requests the governor step-capped
 };
@@ -141,7 +142,6 @@ class Supervisor {
   void note_respawn();
   void note_watchdog_trip();
   void note_retry();
-  void note_rescue();
   void note_nonfinite();
   void note_degraded();
 
@@ -162,7 +162,6 @@ class Supervisor {
   std::atomic<std::int64_t> respawns_{0};
   std::atomic<std::int64_t> watchdog_trips_{0};
   std::atomic<std::int64_t> retries_{0};
-  std::atomic<std::int64_t> rescues_{0};
   std::atomic<std::int64_t> nonfinite_{0};
   std::atomic<std::int64_t> degraded_{0};
 };

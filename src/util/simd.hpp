@@ -14,7 +14,11 @@
 // batched-vs-single and serial-vs-parallel bit-identity tests rely on.
 #pragma once
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+// Not under ThreadSanitizer: GCC instruments the IFUNC resolvers that
+// target_clones emits, and they run before the tsan runtime starts, so
+// every binary linking a cloned kernel would segfault before main.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define SNNSEC_KERNEL_CLONES \
   __attribute__((target_clones("arch=x86-64-v3", "default")))
 #else

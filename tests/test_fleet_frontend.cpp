@@ -65,7 +65,6 @@ RouterConfig fleet_config() {
     g.role = c.role;
     g.model_path = *c.path;
     g.replicas = 1;
-    g.server.workers = 0;
     g.server.batcher.max_batch = 2;
     g.server.batcher.max_delay_us = 200;
     g.server.batcher.capacity = 16;

@@ -67,7 +67,6 @@ Tensor random_image(std::uint64_t seed) {
 
 serve::ServerConfig cell_server() {
   serve::ServerConfig sc;
-  sc.workers = 0;
   sc.batcher.max_batch = 2;
   sc.batcher.max_delay_us = 200;
   sc.batcher.capacity = 16;

@@ -55,7 +55,6 @@ Tensor random_image(std::uint64_t seed) {
 ServerConfig inline_config() {
   ServerConfig cfg;
   cfg.model_path = checkpoint_path();
-  cfg.workers = 0;
   cfg.batcher.max_batch = 4;
   cfg.batcher.max_delay_us = 500;
   cfg.batcher.capacity = 16;

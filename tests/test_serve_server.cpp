@@ -46,7 +46,6 @@ ServerConfig inline_config(std::int64_t max_batch = 4,
                            std::int64_t delay_us = 500) {
   ServerConfig cfg;
   cfg.model_path = checkpoint_path();
-  cfg.workers = 0;  // inline: deterministic, no resident threads
   cfg.batcher.max_batch = max_batch;
   cfg.batcher.max_delay_us = delay_us;
   cfg.batcher.capacity = 16;
@@ -179,43 +178,6 @@ TEST(ServerTest, ConcurrentBatchedResultsAreBitIdenticalToSingle) {
   EXPECT_EQ(stats.errors, 0);
 }
 
-TEST(ServerTest, ResidentWorkersServeCorrectly) {
-  // Same as above but with resident pool workers (skipped gracefully on a
-  // 1-thread pool, where the server falls back to inline mode).
-  ServerConfig config = inline_config(4, 1000);
-  config.workers = 2;
-  Server server(config);
-  auto reference = snn::load_spiking_lenet(checkpoint_path());
-
-  constexpr int kClients = 3;
-  constexpr int kPerClient = 6;
-  std::vector<int> mismatches(kClients, 0);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      InferResult r;
-      for (int i = 0; i < kPerClient; ++i) {
-        const auto seed =
-            static_cast<std::uint64_t>(500 + c * kPerClient + i);
-        const Tensor x = random_image(seed);
-        const Tensor want = reference.model->logits(x);
-        if (!server.infer(x, RequestOptions{}, r)) {
-          ++mismatches[static_cast<std::size_t>(c)];
-          continue;
-        }
-        for (std::int64_t k = 0; k < want.numel(); ++k)
-          if (r.scores[static_cast<std::size_t>(k)] != want.data()[k])
-            ++mismatches[static_cast<std::size_t>(c)];
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  for (int c = 0; c < kClients; ++c)
-    EXPECT_EQ(mismatches[static_cast<std::size_t>(c)], 0);
-  server.stop();
-  EXPECT_EQ(server.stats().completed, kClients * kPerClient);
-}
-
 TEST(ServerTest, MaxStepsTruncatesToPrefix) {
   Server server(inline_config());
   const auto artifact = ModelCache::global().acquire(checkpoint_path());
@@ -266,6 +228,13 @@ TEST(ServerTest, RejectsBadInputShape) {
   EXPECT_THROW(server.infer(Tensor(Shape{kImage * kImage}), RequestOptions{},
                             r),
                util::Error);
+}
+
+TEST(ServerTest, RejectsResidentWorkers) {
+  // Callers always drive batches, so 0 is the only valid worker count.
+  ServerConfig config = inline_config();
+  config.workers = 2;
+  EXPECT_THROW(Server server(config), util::Error);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // snnsec_calibrate: fit a clean-traffic ActivityEnvelope for a checkpoint.
 //
 // Replays clean training-split images through the same AnytimeRunner +
-// SketchAccumulator pipeline the serve workers use, fits the per-feature
+// SketchAccumulator pipeline serve::Server uses, fits the per-feature
 // activity bands and atomically writes the envelope next to the model:
 //
 //   ./snnsec_calibrate --model digits.snnm --out digits.envelope

@@ -114,7 +114,6 @@ int run(int argc, const char* const* argv) {
       tools::train_checkpoint(model, bundle, image, 12, 1.0, 2);
     serve::ServerConfig sc;
     sc.model_path = model;
-    sc.workers = 0;
     server = std::make_unique<serve::Server>(sc);
     target = std::make_unique<fleet::ServerTarget>(*server);
   }

@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
   auto& requests_path =
       args.add_string("requests", "", "request file; default reads stdin");
   auto& clients = args.add_int("clients", 1, "client threads replaying load");
-  auto& workers = args.add_int("workers", 0, "resident workers; 0 = inline");
   auto& max_batch = args.add_int("max-batch", 8, "micro-batch size cap");
   auto& max_delay =
       args.add_int("max-delay-us", 1000, "micro-batch flush delay");
@@ -147,9 +146,10 @@ int main(int argc, char** argv) {
       "canary-interval-ms", 500, "ms between deep canary probes per replica");
   auto& heartbeat_timeout = args.add_int(
       "heartbeat-timeout-ms", 1000,
-      "watchdog deposes a worker silent for this long; 0 disables");
-  auto& max_respawns =
-      args.add_int("max-respawns", 16, "respawn budget per worker context");
+      "watchdog quarantines a batch silent for this long; 0 disables");
+  auto& max_respawns = args.add_int(
+      "max-respawns", 16,
+      "replica respawn budget; once spent, supervision is disabled");
   auto& metrics_interval = args.add_int(
       "metrics-interval", 0,
       "ms between obs::Registry snapshots appended to the metrics sink; "
@@ -186,7 +186,6 @@ int main(int argc, char** argv) {
 
   serve::ServerConfig scfg;
   scfg.model_path = model_path;
-  scfg.workers = workers;
   scfg.batcher.max_batch = max_batch;
   scfg.batcher.max_delay_us = max_delay;
   scfg.batcher.capacity = capacity;
@@ -209,11 +208,9 @@ int main(int argc, char** argv) {
   scfg.supervisor.max_respawns = max_respawns;
   serve::Server server(scfg);
   std::printf(
-      "serving %s | T=%lld | workers=%lld (%s) | max_batch=%lld "
-      "delay=%lldus capacity=%lld | detection %s | supervision %s\n",
+      "serving %s | T=%lld | max_batch=%lld delay=%lldus capacity=%lld | "
+      "detection %s | supervision %s\n",
       model_path.c_str(), static_cast<long long>(server.time_steps()),
-      static_cast<long long>(server.worker_count()),
-      server.worker_count() > 0 ? "resident" : "inline",
       static_cast<long long>(max_batch), static_cast<long long>(max_delay),
       static_cast<long long>(capacity),
       server.detector_ready() ? serve::to_string(scfg.detect_policy) : "off",
@@ -317,8 +314,7 @@ int main(int argc, char** argv) {
   std::printf(
       "server stats: submitted=%lld completed=%lld shed=%lld errors=%lld "
       "truncated=%lld flagged=%lld batches=%lld quarantines=%lld "
-      "respawns=%lld watchdog_trips=%lld retries=%lld rescues=%lld "
-      "degraded=%lld\n",
+      "respawns=%lld watchdog_trips=%lld retries=%lld degraded=%lld\n",
       static_cast<long long>(stats.submitted),
       static_cast<long long>(stats.completed),
       static_cast<long long>(stats.shed),
@@ -330,7 +326,6 @@ int main(int argc, char** argv) {
       static_cast<long long>(stats.respawns),
       static_cast<long long>(stats.watchdog_trips),
       static_cast<long long>(stats.retries),
-      static_cast<long long>(stats.rescues),
       static_cast<long long>(stats.degraded));
   server.stop();
   return stats.errors == 0 ? 0 : 1;
