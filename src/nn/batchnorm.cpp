@@ -31,7 +31,7 @@ std::vector<Parameter*> BatchNormBase::parameters() {
 void BatchNormBase::clear_cache() {
   x_hat_ = Tensor();
   inv_std_.clear();
-  have_cache_ = false;
+  cached_mode_ = Mode::kEval;
 }
 
 Tensor BatchNormBase::forward_impl(const Tensor& x, Mode mode,
@@ -88,10 +88,12 @@ Tensor BatchNormBase::forward_impl(const Tensor& x, Mode mode,
     }
   }
 
+  // Only the train backward reads the normalized input (dgamma and the
+  // batch-statistics dx); eval and attack forwards never materialize it.
   Tensor y(x.shape());
-  Tensor x_hat(x.shape());
+  if (batch_stats) x_hat_ = Tensor(x.shape());
   float* py = y.data();
-  float* ph = x_hat.data();
+  float* ph = batch_stats ? x_hat_.data() : nullptr;
   const float* pg = gamma_.value.data();
   const float* pb = beta_.value.data();
   for (std::int64_t i = 0; i < n; ++i)
@@ -101,34 +103,51 @@ Tensor BatchNormBase::forward_impl(const Tensor& x, Mode mode,
       const std::int64_t base = (i * channels + c) * inner;
       for (std::int64_t j = 0; j < inner; ++j) {
         const float h = (px[base + j] - mu) * is;
-        ph[base + j] = h;
+        if (ph) ph[base + j] = h;
         py[base + j] = pg[c] * h + pb[c];
       }
     }
 
   if (cache_enabled(mode)) {
-    x_hat_ = std::move(x_hat);
     inv_std_ = std::move(inv_std);
     cached_inner_ = inner;
     cached_batch_ = n;
-    used_batch_stats_ = batch_stats;
-    have_cache_ = true;
+    cached_mode_ = mode;
   }
   return y;
 }
 
 Tensor BatchNormBase::backward_impl(const Tensor& grad_out) {
-  SNNSEC_CHECK(have_cache_, "BatchNorm::backward without cached forward");
-  SNNSEC_CHECK(grad_out.shape() == x_hat_.shape(),
-               "BatchNorm::backward: grad shape mismatch");
+  SNNSEC_CHECK(cache_enabled(cached_mode_),
+               "BatchNorm::backward without cached forward");
   const std::int64_t channels = num_features_;
   const std::int64_t n = cached_batch_;
   const std::int64_t inner = cached_inner_;
   const std::int64_t m = n * inner;
+  SNNSEC_CHECK(grad_out.ndim() >= 2 && grad_out.dim(0) == n &&
+                   grad_out.dim(1) == channels &&
+                   grad_out.numel() == m * channels,
+               "BatchNorm::backward: grad shape mismatch "
+                   << grad_out.shape().to_string());
 
   const float* pdy = grad_out.data();
-  const float* ph = x_hat_.data();
   const float* pg = gamma_.value.data();
+  Tensor dx(grad_out.shape());
+  float* pdx = dx.data();
+  if (!param_grads_enabled(cached_mode_)) {
+    // Frozen statistics (attack): the map is affine per element, and no
+    // gamma/beta gradient is wanted.
+    for (std::int64_t i = 0; i < n; ++i)
+      for (std::int64_t c = 0; c < channels; ++c) {
+        const float gis = pg[c] * inv_std_[static_cast<std::size_t>(c)];
+        const std::int64_t base = (i * channels + c) * inner;
+        for (std::int64_t j = 0; j < inner; ++j)
+          pdx[base + j] = pdy[base + j] * gis;
+      }
+    return dx;
+  }
+
+  const float* ph = x_hat_.data();
   float* pdg = gamma_.grad.data();
   float* pdb = beta_.grad.data();
 
@@ -149,35 +168,22 @@ Tensor BatchNormBase::backward_impl(const Tensor& grad_out) {
     pdb[c] += static_cast<float>(sum_dy[static_cast<std::size_t>(c)]);
   }
 
-  Tensor dx(grad_out.shape());
-  float* pdx = dx.data();
-  if (used_batch_stats_) {
-    // Full coupled gradient through the batch statistics.
-    const float inv_m = 1.0f / static_cast<float>(m);
-    for (std::int64_t i = 0; i < n; ++i)
-      for (std::int64_t c = 0; c < channels; ++c) {
-        const float gis = pg[c] * inv_std_[static_cast<std::size_t>(c)];
-        const float s_dy =
-            static_cast<float>(sum_dy[static_cast<std::size_t>(c)]);
-        const float s_dyh =
-            static_cast<float>(sum_dy_h[static_cast<std::size_t>(c)]);
-        const std::int64_t base = (i * channels + c) * inner;
-        for (std::int64_t j = 0; j < inner; ++j) {
-          pdx[base + j] = gis * inv_m *
-                          (static_cast<float>(m) * pdy[base + j] - s_dy -
-                           ph[base + j] * s_dyh);
-        }
+  // Train: full coupled gradient through the batch statistics.
+  const float inv_m = 1.0f / static_cast<float>(m);
+  for (std::int64_t i = 0; i < n; ++i)
+    for (std::int64_t c = 0; c < channels; ++c) {
+      const float gis = pg[c] * inv_std_[static_cast<std::size_t>(c)];
+      const float s_dy =
+          static_cast<float>(sum_dy[static_cast<std::size_t>(c)]);
+      const float s_dyh =
+          static_cast<float>(sum_dy_h[static_cast<std::size_t>(c)]);
+      const std::int64_t base = (i * channels + c) * inner;
+      for (std::int64_t j = 0; j < inner; ++j) {
+        pdx[base + j] = gis * inv_m *
+                        (static_cast<float>(m) * pdy[base + j] - s_dy -
+                         ph[base + j] * s_dyh);
       }
-  } else {
-    // Frozen statistics: the map is affine per element.
-    for (std::int64_t i = 0; i < n; ++i)
-      for (std::int64_t c = 0; c < channels; ++c) {
-        const float gis = pg[c] * inv_std_[static_cast<std::size_t>(c)];
-        const std::int64_t base = (i * channels + c) * inner;
-        for (std::int64_t j = 0; j < inner; ++j)
-          pdx[base + j] = pdy[base + j] * gis;
-      }
-  }
+    }
   return dx;
 }
 

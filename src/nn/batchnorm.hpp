@@ -5,6 +5,9 @@
 // train mode batch statistics are used and running estimates updated; in
 // eval/attack mode the running estimates are used (so white-box gradients
 // see the deployed, frozen normalization — the standard attack setting).
+// With frozen statistics the map is affine per element, so an attack
+// backward needs only inv_std and gamma: it caches no normalized input and
+// computes no gamma/beta gradients.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -43,12 +46,12 @@ class BatchNormBase : public Layer {
   tensor::Tensor running_var_;
 
   // caches for backward (train/attack forward)
-  tensor::Tensor x_hat_;        // normalized input
+  tensor::Tensor x_hat_;        // normalized input; kTrain only
   std::vector<float> inv_std_;  // per channel
   std::int64_t cached_inner_ = 0;
   std::int64_t cached_batch_ = 0;
-  bool used_batch_stats_ = false;
-  bool have_cache_ = false;
+  /// kTrain: batch statistics; kAttack: frozen; kEval: nothing cached.
+  Mode cached_mode_ = Mode::kEval;
 };
 
 }  // namespace detail

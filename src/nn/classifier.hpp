@@ -29,14 +29,19 @@ class Classifier {
   /// White-box gradient of the mean cross-entropy loss w.r.t. the input
   /// pixels, evaluated with inference semantics (Mode::kAttack). This is
   /// the quantity PGD/FGSM ascend. `loss_out` (optional) receives the loss.
+  /// Attack mode computes dL/dx only: no Parameter::grad is touched, and
+  /// the result is bit-identical to the dx of a Mode::kTrain backward
+  /// wherever the two modes share forward semantics (no dropout or batch
+  /// statistics).
   virtual tensor::Tensor input_gradient(const tensor::Tensor& x,
                                         const std::vector<std::int64_t>& labels,
                                         double* loss_out = nullptr) = 0;
 
   /// General vector-Jacobian product at the logits: returns
-  /// d<cotangent, logits(x)>/dx with inference semantics (Mode::kAttack).
-  /// cotangent is [N, classes]. This is the primitive decision-boundary
-  /// attacks (DeepFool) build per-class gradients from.
+  /// d<cotangent, logits(x)>/dx with inference semantics (Mode::kAttack),
+  /// leaving every Parameter::grad untouched. cotangent is [N, classes].
+  /// This is the primitive decision-boundary attacks (DeepFool) build
+  /// per-class gradients from.
   virtual tensor::Tensor output_gradient(const tensor::Tensor& x,
                                          const tensor::Tensor& cotangent) = 0;
 

@@ -4,6 +4,7 @@
 // zero-alloc (asserted by bench_runner's operator-new hook).
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "nn/init.hpp"
@@ -139,13 +140,13 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, Mode mode) {
   const std::int64_t ohw = oh * ow;
   const std::int64_t patch = g.patch_size();
   const std::int64_t image_size = g.channels * g.height * g.width;
-  const bool caching = cache_enabled(mode);
   resolve_kernel();
-  if (!caching && input_hint_ == tensor::SparsityHint::kEvents) {
-    // Event path is eval-only: train/attack forwards must materialize the
-    // dense column matrix anyway (backward consumes it), so they keep the
-    // classic lowering. The choice is fixed per (layer, mode) — no data
-    // probe, no mid-run flips.
+  if (!cache_enabled(mode) && input_hint_ == tensor::SparsityHint::kEvents) {
+    // Event path is eval-only. Train forwards must materialize the dense
+    // column matrix anyway (the weight gradient consumes it); attack
+    // forwards keep the dense lowering so attack numerics stay bit-identical
+    // to train's. The choice is fixed per (layer, mode) — no data probe, no
+    // mid-run flips.
     forward_events(x, y, g);
     return;
   }
@@ -153,11 +154,11 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, Mode mode) {
   util::Workspace& ws = util::Workspace::local();
   util::Workspace::Scope scope(ws);
 
-  // Column matrix [patch, N*OHW]: workspace scratch in eval mode; in train
-  // mode it must survive until backward(), so it lives in the member buffer,
-  // reallocated only when the lowering shape changes.
+  // Column matrix [patch, N*OHW]: workspace scratch in eval and attack mode;
+  // in train mode the weight gradient reads it in backward(), so it lives in
+  // the member buffer, reallocated only when the lowering shape changes.
   float* pcol;
-  if (caching) {
+  if (param_grads_enabled(mode)) {
     // Dim-wise compare (not Shape construction) so the steady state stays
     // allocation-free.
     if (cached_columns_.ndim() != 2 || cached_columns_.dim(0) != patch ||
@@ -211,15 +212,16 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, Mode mode) {
         });
   }
 
-  if (caching) {
+  if (cache_enabled(mode)) {
     cached_geom_ = g;
     cached_batch_ = n;
-    have_cache_ = true;
+    cached_mode_ = mode;
   }
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  SNNSEC_CHECK(have_cache_, name() << "::backward without cached forward");
+  SNNSEC_CHECK(cache_enabled(cached_mode_),
+               name() << "::backward without cached forward");
   const ConvGeometry& g = cached_geom_;
   const std::int64_t n = cached_batch_;
   const std::int64_t oh = g.out_h();
@@ -234,45 +236,45 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
 
   const std::int64_t patch = g.patch_size();
   const std::int64_t cout = spec_.out_channels;
-  // The lowered columns cached by forward must still match this geometry;
-  // a stale cache (e.g. forward ran again with another batch size between
-  // the pair) would silently compute garbage gradients.
-  SNNSEC_ASSERT_SHAPE(cached_columns_, Shape{patch, n * ohw});
+  const bool param_grads = param_grads_enabled(cached_mode_);
+  // The lowered columns cached by a train forward must still match this
+  // geometry; a stale cache (e.g. forward ran again with another batch size
+  // between the pair) would silently compute garbage gradients.
+  if (param_grads) SNNSEC_ASSERT_SHAPE(cached_columns_, Shape{patch, n * ohw});
   util::Workspace& ws = util::Workspace::local();
   util::Workspace::Scope scope(ws);
 
   // Fused pass, parallel over output channels: reorder grad to GEMM layout
-  // G [Cout, N*OHW] and accumulate the per-channel bias gradient while the
-  // rows are hot, instead of a serial reorder followed by a serial re-read.
+  // G [Cout, N*OHW] and, in train mode, accumulate the per-channel bias
+  // gradient while the rows are hot instead of re-reading them serially.
   float* pm = ws.alloc<float>(static_cast<std::size_t>(cout * n * ohw));
   {
     SNNSEC_TRACE_SCOPE("conv.grad_reorder");
     const float* pg = grad_out.data();
-    float* pb = has_bias_ ? bias_.grad.data() : nullptr;
+    float* pb = has_bias_ && param_grads ? bias_.grad.data() : nullptr;
     util::parallel_for_chunked(0, cout, [&](std::int64_t lo, std::int64_t hi) {
       for (std::int64_t co = lo; co < hi; ++co) {
         double bias_acc = 0.0;
         float* dst = pm + co * (n * ohw);
         for (std::int64_t i = 0; i < n; ++i) {
           const float* src = pg + (i * cout + co) * ohw;
-          float* row = dst + i * ohw;
-          for (std::int64_t j = 0; j < ohw; ++j) {
-            row[j] = src[j];
-            bias_acc += src[j];
-          }
+          std::copy(src, src + ohw, dst + i * ohw);
+          if (pb)
+            for (std::int64_t j = 0; j < ohw; ++j) bias_acc += src[j];
         }
         if (pb) pb[co] += static_cast<float>(bias_acc);
       }
     });
   }
 
-  // dW += G x columns^T : [Cout, patch]. op(A) is the upstream gradient —
-  // dense by role (surrogate gradients are real-valued, not spikes); the
-  // cached spike columns sit in the B operand, out of any A-side skip's
-  // reach, so the layer's input hint does not apply here.
-  tensor::gemm_raw(Trans::kNo, Trans::kYes, cout, patch, n * ohw, 1.0f, pm,
-                   n * ohw, cached_columns_.data(), n * ohw, 1.0f,
-                   weight_.grad.data(), patch, tensor::SparsityHint::kDense);
+  // dW += G x columns^T : [Cout, patch], train only. op(A) is the upstream
+  // gradient — dense by role (surrogate gradients are real-valued, not
+  // spikes); the cached spike columns sit in the B operand, out of any
+  // A-side skip's reach, so the layer's input hint does not apply here.
+  if (param_grads)
+    tensor::gemm_raw(Trans::kNo, Trans::kYes, cout, patch, n * ohw, 1.0f, pm,
+                     n * ohw, cached_columns_.data(), n * ohw, 1.0f,
+                     weight_.grad.data(), patch, tensor::SparsityHint::kDense);
 
   // dColumns = W^T x G : [patch, N*OHW]; then col2im per sample. op(A) is
   // the weight matrix — dense by role regardless of the input hint.
@@ -306,7 +308,7 @@ std::string Conv2d::name() const {
 
 void Conv2d::clear_cache() {
   cached_columns_ = Tensor();
-  have_cache_ = false;
+  cached_mode_ = Mode::kEval;
 }
 
 }  // namespace snnsec::nn

@@ -6,10 +6,11 @@
 // Output : [N, Cout, OH, OW]
 //
 // Forward builds a single [Cin*KH*KW, N*OH*OW] column matrix for the whole
-// batch (cached for backward), multiplies once, and scatters rows back into
-// batch order. Backward reuses the cached columns for the weight gradient
-// and runs the transposed GEMM + col2im for the input gradient — the input
-// gradient is what white-box attacks differentiate through.
+// batch, multiplies once, and scatters rows back into batch order. A train
+// backward reuses the cached columns for the weight gradient; every
+// backward runs the transposed GEMM + col2im for the input gradient — the
+// input gradient is what white-box attacks differentiate through, and an
+// attack backward computes nothing else.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -34,11 +35,12 @@ class Conv2d final : public Layer {
   tensor::Tensor forward(const tensor::Tensor& x, Mode mode) override;
 
   /// Allocation-free forward: writes into `y`, reshaping it only when the
-  /// output geometry changes. In eval mode every scratch buffer (im2col
-  /// columns, GEMM output) comes from the per-thread util::Workspace, so the
-  /// steady state performs zero heap allocations; in train mode the column
-  /// matrix lives in a member buffer (backward needs it after this call
-  /// returns) that is likewise reused across calls of the same shape.
+  /// output geometry changes. In eval and attack mode every scratch buffer
+  /// (im2col columns, GEMM output) comes from the per-thread
+  /// util::Workspace, so the steady state performs zero heap allocations;
+  /// in train mode the column matrix lives in a member buffer (the weight
+  /// gradient needs it after this call returns) that is likewise reused
+  /// across calls of the same shape.
   void forward_into(const tensor::Tensor& x, tensor::Tensor& y, Mode mode);
 
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
@@ -57,9 +59,11 @@ class Conv2d final : public Layer {
   /// in the im2col lowering the spike sparsity sits in the B operand where
   /// the zero-skip row kernel cannot reach it. Resolution is STICKY (must
   /// precede the first forward, never flips afterwards; throws util::Error
-  /// otherwise). The event path runs in eval mode; training/attack forwards
-  /// keep the dense lowering because backward consumes the cached dense
-  /// columns — still one fixed kernel per (layer, mode), never data-probed.
+  /// otherwise). The event path runs in eval mode only. Train forwards keep
+  /// the dense lowering because the weight gradient consumes the cached
+  /// dense columns; attack forwards keep it so attack numerics stay
+  /// bit-identical to the train-mode input gradient — still one fixed
+  /// kernel per (layer, mode), never data-probed.
   void set_input_hint(tensor::SparsityHint hint);
   tensor::SparsityHint input_hint() const { return input_hint_; }
 
@@ -82,10 +86,10 @@ class Conv2d final : public Layer {
   Parameter bias_;    // [Cout]
 
   // forward cache
-  tensor::Tensor cached_columns_;  // [patch, N*OH*OW]
+  tensor::Tensor cached_columns_;  // [patch, N*OH*OW]; read by kTrain only
   tensor::ConvGeometry cached_geom_{};
   std::int64_t cached_batch_ = 0;
-  bool have_cache_ = false;
+  Mode cached_mode_ = Mode::kEval;  ///< kEval: nothing cached
 };
 
 }  // namespace snnsec::nn

@@ -32,8 +32,6 @@ Tensor FeedforwardClassifier::input_gradient(
   const Tensor out = net_->forward(x, Mode::kAttack);
   const double loss = loss_.forward(out, labels);
   if (loss_out != nullptr) *loss_out = loss;
-  // Parameter grads accumulate too, but attack callers never step an
-  // optimizer; training always zero_grad()s first.
   return net_->backward(loss_.backward());
 }
 

@@ -2,15 +2,19 @@
 //
 // snnsec uses layer-local manual backprop instead of a global autograd tape:
 // each layer caches during forward() exactly what its backward() needs, and
-// backward() both accumulates parameter gradients and returns the gradient
-// w.r.t. its input. The chain rule across a network is then a simple
-// reverse iteration (see Sequential). Correctness is enforced by
-// finite-difference gradient-check tests, including the input gradient that
-// white-box attacks consume.
+// backward() returns the gradient w.r.t. its input — after a kTrain forward
+// it also accumulates parameter gradients. The chain rule across a network
+// is then a simple reverse iteration (see Sequential). Correctness is
+// enforced by finite-difference gradient-check tests, including the input
+// gradient that white-box attacks consume.
 //
 // Contract:
 //  * backward() must be called at most once per forward(), with a gradient
 //    shaped like that forward()'s output.
+//  * The forward's mode decides what backward() computes: kTrain caches for
+//    and accumulates dL/d(params) as well as returning dL/d(input); kAttack
+//    caches only what dL/d(input) needs and leaves every Parameter::grad
+//    untouched. dL/d(input) is bit-identical between the two.
 //  * Layers own their Parameters; parameters() exposes stable pointers.
 #pragma once
 
@@ -25,14 +29,17 @@
 namespace snnsec::nn {
 
 /// Forward-pass mode:
-///  kTrain  — cache for backward, stochastic layers (dropout) active.
+///  kTrain  — cache for backward (input and parameter gradients),
+///            stochastic layers (dropout) active.
 ///  kEval   — no caching, deterministic inference.
-///  kAttack — cache for backward (white-box input gradients) but with
-///            inference semantics: stochastic layers are identity.
+///  kAttack — cache for the input gradient only (white-box attacks), with
+///            inference semantics: stochastic layers are identity and
+///            backward() accumulates no parameter gradients.
 enum class Mode { kTrain, kEval, kAttack };
 
 constexpr bool cache_enabled(Mode m) { return m != Mode::kEval; }
 constexpr bool stochastic_enabled(Mode m) { return m == Mode::kTrain; }
+constexpr bool param_grads_enabled(Mode m) { return m == Mode::kTrain; }
 
 class Layer {
  public:
@@ -42,11 +49,14 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Compute the layer output; in kTrain mode, cache what backward() needs.
+  /// Compute the layer output; in kTrain/kAttack mode, cache what that
+  /// mode's backward() needs.
   virtual tensor::Tensor forward(const tensor::Tensor& x, Mode mode) = 0;
 
-  /// Given dL/d(output), accumulate dL/d(params) into Parameter::grad and
-  /// return dL/d(input). Valid only after a kTrain forward().
+  /// Given dL/d(output), return dL/d(input). After a kTrain forward() this
+  /// also accumulates dL/d(params) into Parameter::grad; after a kAttack
+  /// forward() it touches no Parameter::grad. Invalid after a kEval
+  /// forward(), which caches nothing.
   virtual tensor::Tensor backward(const tensor::Tensor& grad_out) = 0;
 
   /// Trainable parameters (empty for stateless layers).

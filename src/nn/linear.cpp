@@ -29,15 +29,15 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features,
 }
 
 Tensor Linear::forward(const Tensor& x, Mode mode) {
-  if (cache_enabled(mode)) {
-    SNNSEC_CHECK(x.ndim() == 2 && x.dim(1) == in_features_,
-                 "Linear(" << in_features_ << "->" << out_features_
-                           << "): bad input shape " << x.shape().to_string());
-    cached_input_ = x;
-    have_cache_ = true;
-  }
   Tensor y;
-  forward_into(x, y);
+  forward_into(x, y);  // validates the input shape
+  if (cache_enabled(mode)) {
+    // The input gradient dY W needs no forward state beyond the row count;
+    // only the train-mode weight gradient reads the input itself.
+    if (param_grads_enabled(mode)) cached_input_ = x;
+    cached_rows_ = x.dim(0);
+    cached_mode_ = mode;
+  }
   return y;
 }
 
@@ -127,21 +127,24 @@ void Linear::forward_into_events(const tensor::EventRows& ev, Tensor& y) {
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
-  SNNSEC_CHECK(have_cache_, "Linear::backward without cached forward");
+  SNNSEC_CHECK(cache_enabled(cached_mode_),
+               "Linear::backward without cached forward");
   SNNSEC_CHECK(grad_out.ndim() == 2 && grad_out.dim(1) == out_features_ &&
-                   grad_out.dim(0) == cached_input_.dim(0),
+                   grad_out.dim(0) == cached_rows_,
                "Linear::backward: bad grad shape "
                    << grad_out.shape().to_string());
-  // dW += dY^T X ; db += colsum(dY) ; dX = dY W
-  tensor::gemm(Trans::kYes, Trans::kNo, 1.0f, grad_out, cached_input_, 1.0f,
-               weight_.grad);
-  if (has_bias_) {
-    const std::int64_t n = grad_out.dim(0);
-    const float* pg = grad_out.data();
-    float* pb = bias_.grad.data();
-    for (std::int64_t i = 0; i < n; ++i)
-      for (std::int64_t j = 0; j < out_features_; ++j)
-        pb[j] += pg[i * out_features_ + j];
+  // Train: dW += dY^T X ; db += colsum(dY). Every mode: dX = dY W.
+  if (param_grads_enabled(cached_mode_)) {
+    tensor::gemm(Trans::kYes, Trans::kNo, 1.0f, grad_out, cached_input_, 1.0f,
+                 weight_.grad);
+    if (has_bias_) {
+      const std::int64_t n = grad_out.dim(0);
+      const float* pg = grad_out.data();
+      float* pb = bias_.grad.data();
+      for (std::int64_t i = 0; i < n; ++i)
+        for (std::int64_t j = 0; j < out_features_; ++j)
+          pb[j] += pg[i * out_features_ + j];
+    }
   }
   return tensor::matmul(grad_out, weight_.value, Trans::kNo, Trans::kNo);
 }

@@ -43,7 +43,10 @@ class Linear final : public Layer {
   std::vector<Parameter*> parameters() override;
   std::string name() const override;
   std::string_view kind() const override { return "Linear"; }
-  void clear_cache() override { cached_input_ = tensor::Tensor(); }
+  void clear_cache() override {
+    cached_input_ = tensor::Tensor();
+    cached_mode_ = Mode::kEval;
+  }
 
   std::int64_t in_features() const { return in_features_; }
   std::int64_t out_features() const { return out_features_; }
@@ -62,8 +65,9 @@ class Linear final : public Layer {
   Parameter bias_;
   tensor::SparsityHint input_hint_ = tensor::SparsityHint::kDense;
   bool kernel_resolved_ = false;  ///< set at first forward; hint frozen after
-  tensor::Tensor cached_input_;
-  bool have_cache_ = false;
+  tensor::Tensor cached_input_;     ///< kTrain only: dW = dY^T X reads it
+  std::int64_t cached_rows_ = 0;    ///< batch rows of the cached forward
+  Mode cached_mode_ = Mode::kEval;  ///< kEval: nothing cached
 };
 
 }  // namespace snnsec::nn

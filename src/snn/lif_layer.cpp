@@ -79,12 +79,17 @@ Tensor LifLayer::forward(const Tensor& x, nn::Mode mode) {
     spikes_ = z;  // copy; z is also the return value
     cached_rows_ = per_step;
     have_cache_ = true;
+    cached_faulted_ = fault_.any();
   }
   return z;
 }
 
 Tensor LifLayer::backward(const Tensor& grad_out) {
   SNNSEC_CHECK(have_cache_, name() << "::backward without cached forward");
+  SNNSEC_CHECK(!cached_faulted_,
+               name() << "::backward through a forward with a SpikeFault "
+                         "armed — the cached spikes are faulted, so BPTT "
+                         "would differentiate the wrong network");
   SNNSEC_CHECK(grad_out.shape() == spikes_.shape(),
                name() << "::backward: grad shape "
                       << grad_out.shape().to_string() << " != forward shape "

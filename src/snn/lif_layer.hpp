@@ -33,7 +33,8 @@ namespace snnsec::snn {
 /// the whole time window. Faults compose: stuck-at masks override the spike
 /// train, then each surviving spike is independently dropped or jittered.
 /// Backward through an armed layer is NOT supported — the BPTT caches hold
-/// the faulted spikes — so arm faults for evaluation forwards only.
+/// the faulted spikes — so arm faults for evaluation forwards only;
+/// backward() after a faulted train/attack forward throws util::Error.
 struct SpikeFault {
   double drop_prob = 0.0;           ///< P(spike deleted)
   double jitter_prob = 0.0;         ///< P(spike delayed by one time step)
@@ -103,6 +104,7 @@ class LifLayer final : public nn::Layer {
   tensor::Tensor spikes_;     // [T*N, F...]
   std::int64_t cached_rows_ = 0;  // N*F per step
   bool have_cache_ = false;
+  bool cached_faulted_ = false;  // forward ran with a SpikeFault armed
   double last_spike_rate_ = 0.0;
   std::int64_t last_output_numel_ = 0;
   bool probe_ = false;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "nn/layer.hpp"
@@ -23,6 +24,15 @@ inline double dot(const tensor::Tensor& a, const tensor::Tensor& b) {
   for (std::int64_t i = 0; i < a.numel(); ++i)
     acc += static_cast<double>(a[i]) * b[i];
   return acc;
+}
+
+/// Same shape and the same bytes — the bit-identity the attack-mode and
+/// kernel-determinism contracts promise.
+inline bool bit_identical(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
 }
 
 /// Relative-ish error with absolute floor: |a-b| / max(1, |a|, |b|).

@@ -9,6 +9,9 @@
 
 #include "data/synth_digits.hpp"
 #include "faults/harness.hpp"
+#include "nn/metrics.hpp"
+#include "snn/lif_layer.hpp"
+#include "util/error.hpp"
 
 namespace snnsec::faults {
 namespace {
@@ -247,6 +250,47 @@ TEST(ScopedFaultTest, ReArmAfterClearReproducesTheFault) {
   EXPECT_GT(armed_spike_fault_count(*model), 0u);
   EXPECT_TRUE(model->logits(x).allclose(faulted, 0.0f));
   clear_spike_faults(*model);
+}
+
+// The BPTT caches of a faulted forward hold the faulted spikes, so a
+// gradient through them would differentiate a different network: backward
+// must refuse, name the layer, and work again once the fault is cleared.
+TEST(SpikeFaults, BackwardThroughFaultedForwardThrows) {
+  snn::LifParameters params;
+  params.v_th = 0.5f;
+  snn::LifLayer lif(4, params, snn::Surrogate{});
+  util::Rng rng(5);
+  const tensor::Tensor x =
+      tensor::Tensor::rand_uniform(tensor::Shape{4 * 2, 6}, rng, 0.0f, 2.0f);
+  snn::SpikeFault fault;
+  fault.drop_prob = 0.5;
+  fault.seed = 3;
+  lif.set_spike_fault(fault);
+  for (const nn::Mode mode : {nn::Mode::kTrain, nn::Mode::kAttack}) {
+    const tensor::Tensor z = lif.forward(x, mode);
+    try {
+      (void)lif.backward(tensor::Tensor::ones(z.shape()));
+      ADD_FAILURE() << "backward through a faulted forward did not throw";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("LifLayer(T=4"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  lif.clear_spike_fault();
+  const tensor::Tensor z = lif.forward(x, nn::Mode::kAttack);
+  EXPECT_NO_THROW((void)lif.backward(tensor::Tensor::ones(z.shape())));
+
+  // Whole-model attack gradients hit the same guard.
+  auto model = tiny_model();
+  const auto images = tiny_batch();
+  const tensor::Tensor batch = nn::slice_batch(images, 0, 2);
+  arm_fault(*model, {FaultKind::kSpikeDrop, 0.3, 11});
+  EXPECT_THROW((void)model->input_gradient(batch, {0, 1}, nullptr),
+               util::Error);
+  clear_spike_faults(*model);
+  EXPECT_NO_THROW((void)model->input_gradient(batch, {0, 1}, nullptr));
 }
 
 TEST(ScopedFaultTest, WeightScopeDoesNotDisturbArmedSpikeFaults) {

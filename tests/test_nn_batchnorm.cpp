@@ -136,6 +136,25 @@ TEST(BatchNorm2d, FrozenStatsGradientIsDiagonal) {
   }
 }
 
+TEST(BatchNorm2d, AttackBackwardLeavesGammaBetaGradsZero) {
+  BatchNorm2d bn(3, /*momentum=*/1.0);
+  util::Rng rng(11);
+  bn.forward(Tensor::randn(Shape{8, 3, 2, 2}, rng), Mode::kTrain);
+  for (Parameter* p : bn.parameters()) p->zero_grad();
+  const Tensor x = Tensor::randn(Shape{2, 3, 2, 2}, rng);
+  bn.forward(x, Mode::kAttack);
+  const Tensor dx = bn.backward(Tensor::randn(x.shape(), rng));
+  EXPECT_GT(snnsec::testutil::dot(dx, dx), 0.0);
+  for (Parameter* p : bn.parameters())
+    for (std::int64_t c = 0; c < p->grad.numel(); ++c)
+      EXPECT_EQ(std::fpclassify(p->grad[c]), FP_ZERO) << p->name << c;
+
+  // The next train backward accumulates them again.
+  bn.forward(x, Mode::kTrain);
+  bn.backward(Tensor::randn(x.shape(), rng));
+  EXPECT_GT(snnsec::testutil::dot(bn.beta().grad, bn.beta().grad), 0.0);
+}
+
 TEST(BatchNorm, ParameterGradients) {
   BatchNorm1d bn(4);
   util::Rng drng(9);

@@ -7,6 +7,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/feedforward.hpp"
 #include "nn/flatten.hpp"
+#include "nn/lenet.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/pooling.hpp"
@@ -15,6 +16,7 @@
 namespace snnsec::nn {
 namespace {
 
+using snnsec::testutil::bit_identical;
 using snnsec::testutil::check_input_gradient;
 using snnsec::testutil::check_parameter_gradients;
 using tensor::Shape;
@@ -181,6 +183,41 @@ TEST(GradCheck, EndToEndInputGradientMatchesLossSlope) {
     EXPECT_LT(snnsec::testutil::grad_error(numeric, g[i]), 2e-2)
         << "pixel " << i;
   }
+}
+
+// The attack-mode contract on the paper CNN (no BatchNorm, no dropout, so
+// train and attack forwards share semantics): input_gradient and
+// output_gradient return exactly the dx of a train forward + backward on the
+// same batch and cotangent, accumulate no parameter gradient, and a train
+// forward/backward right after them still passes the finite-difference
+// parameter check.
+TEST(AttackMode, PaperCnnInputGradientIsTrainDxWithoutParamGrads) {
+  LenetSpec spec = LenetSpec{}.scaled(0.25);
+  spec.image_size = 8;
+  util::Rng rng(41);
+  auto model = build_paper_cnn(spec, rng);
+  Sequential& net = model->net();
+  util::Rng drng(42);
+  const Tensor x = Tensor::randn(Shape{2, 1, 8, 8}, drng);
+  const std::vector<std::int64_t> labels{4, 9};
+
+  for (Parameter* p : model->parameters()) p->zero_grad();
+  SoftmaxCrossEntropy loss;
+  loss.forward(net.forward(x, Mode::kTrain), labels);
+  const Tensor cot = loss.backward();
+  const Tensor train_dx = net.backward(cot);
+  ASSERT_GT(tensor::l2_norm(train_dx), 0.0f);
+
+  for (Parameter* p : model->parameters()) p->zero_grad();
+  EXPECT_TRUE(bit_identical(model->input_gradient(x, labels, nullptr),
+                            train_dx));
+  EXPECT_TRUE(bit_identical(model->output_gradient(x, cot), train_dx));
+  for (Parameter* p : model->parameters())
+    EXPECT_TRUE(bit_identical(p->grad, Tensor::zeros(p->grad.shape())))
+        << p->name << " accumulated a gradient in attack mode";
+
+  util::Rng wrng(43);
+  check_parameter_gradients(net, x, wrng, /*step=*/1e-3, /*tol=*/2e-2);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "data/synth_digits.hpp"
+#include "gradcheck.hpp"
+#include "nn/loss.hpp"
 #include "nn/metrics.hpp"
 #include "nn/trainer.hpp"
 #include "snn/spiking_lenet.hpp"
@@ -10,6 +12,7 @@
 namespace snnsec::snn {
 namespace {
 
+using snnsec::testutil::bit_identical;
 using tensor::Shape;
 using tensor::Tensor;
 
@@ -109,6 +112,78 @@ TEST(SpikingLenet, InputGradientShapeAndLoss) {
   const Tensor g = model->input_gradient(x, {1, 7}, &loss);
   EXPECT_EQ(g.shape(), x.shape());
   EXPECT_GT(loss, 0.0);
+}
+
+// The attack-mode contract (nn::Mode::kAttack): input_gradient and
+// output_gradient return exactly the dx of a train forward + backward of the
+// same net on the same batch and cotangent, leave every Parameter::grad
+// exactly zero, and leave the net ready for training. Finite differences
+// through Heaviside spikes are meaningless, so "ready for training" is
+// checked bitwise: parameter gradients of a train step run right after the
+// attack calls equal those of a same-seed twin that never attacked.
+void expect_attack_mode_contract(NeuronModel neuron) {
+  // Digit strokes at 16x16 keep every spiking layer active, so the
+  // gradients compared below are not vacuously zero.
+  nn::LenetSpec arch = nn::LenetSpec{}.scaled(0.5);
+  arch.image_size = 16;
+  SnnConfig cfg = tiny_cfg(8);
+  cfg.neuron_model = neuron;
+  ASSERT_EQ(cfg.encoder, EncoderKind::kConstantCurrentLif);
+  util::Rng rng(31);
+  auto model = build_spiking_lenet(arch, cfg, rng);
+  util::Rng twin_rng(31);
+  auto twin = build_spiking_lenet(arch, cfg, twin_rng);
+  data::SynthConfig scfg;
+  scfg.image_size = 16;
+  util::Rng drng(32);
+  const data::Dataset d = data::generate_digits(2, scfg, drng);
+  const Tensor& x = d.images;
+  const std::vector<std::int64_t>& labels = d.labels;
+  const Tensor xs =
+      SpikingClassifier::replicate_over_time(x, cfg.time_steps);
+
+  const auto train_step = [&](SpikingClassifier& m, Tensor* cotangent) {
+    for (nn::Parameter* p : m.parameters()) p->zero_grad();
+    nn::SoftmaxCrossEntropy loss;
+    loss.forward(m.net().forward(xs, nn::Mode::kTrain), labels);
+    const Tensor cot = loss.backward();
+    if (cotangent != nullptr) *cotangent = cot;
+    return SpikingClassifier::sum_over_time(m.net().backward(cot),
+                                            cfg.time_steps);
+  };
+  Tensor cot;
+  const Tensor train_dx = train_step(*model, &cot);
+  ASSERT_GT(tensor::l2_norm(train_dx), 0.0f) << "dead net: vacuous check";
+
+  for (nn::Parameter* p : model->parameters()) p->zero_grad();
+  const Tensor attack_dx = model->input_gradient(x, labels, nullptr);
+  const Tensor vjp_dx = model->output_gradient(x, cot);
+  EXPECT_TRUE(bit_identical(attack_dx, train_dx));
+  EXPECT_TRUE(bit_identical(vjp_dx, train_dx));
+  for (nn::Parameter* p : model->parameters())
+    EXPECT_TRUE(bit_identical(p->grad, Tensor::zeros(p->grad.shape())))
+        << p->name << " accumulated a gradient in attack mode";
+
+  (void)train_step(*model, nullptr);
+  (void)train_step(*twin, nullptr);
+  const auto params = model->parameters();
+  const auto twin_params = twin->parameters();
+  ASSERT_EQ(params.size(), twin_params.size());
+  float grad_mass = 0.0f;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(bit_identical(params[i]->grad, twin_params[i]->grad))
+        << "parameter " << i << " (" << params[i]->name << ")";
+    grad_mass += tensor::l2_norm(params[i]->grad);
+  }
+  EXPECT_GT(grad_mass, 0.0f);
+}
+
+TEST(SpikingLenet, AttackModeContractLif) {
+  expect_attack_mode_contract(NeuronModel::kLif);
+}
+
+TEST(SpikingLenet, AttackModeContractAlif) {
+  expect_attack_mode_contract(NeuronModel::kAlif);
 }
 
 TEST(SpikingLenet, TrainBatchReducesLossOnRepeatedBatch) {

@@ -12,6 +12,7 @@
 // does not exist yet a small model is trained there first, so the pair of
 // commands above is a self-contained smoke run.
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -27,9 +28,11 @@
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 
+namespace {
+
 using namespace snnsec;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::ArgParser args("snnsec_calibrate",
                        "calibrate a clean-traffic activity envelope");
   auto& model_path = args.add_string("model", "serve_model.snnm",
@@ -95,4 +98,15 @@ int main(int argc, char** argv) {
   std::printf("wrote %s (%s) in %.3fs\n", out.c_str(),
               envelope.summary().c_str(), watch.seconds());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -105,9 +106,7 @@ class MetricsExporter {
   std::thread thread_;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::ArgParser args("snnsec_serve",
                        "serve SNN inference requests from a checkpoint");
   auto& model_path = args.add_string("model", "serve_model.snnm",
@@ -329,4 +328,15 @@ int main(int argc, char** argv) {
       static_cast<long long>(stats.degraded));
   server.stop();
   return stats.errors == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }
