@@ -15,6 +15,46 @@ namespace snnsec::snn {
 
 using tensor::Tensor;
 
+namespace {
+
+/// One reverse time step of ALIF BPTT over `len` neurons (the LIF step in
+/// lif_layer.cpp plus the adaptation carry gb). `sg` is the surrogate with
+/// its kind resolved (Surrogate::with_grad); no two arrays overlap, so the
+/// loop vectorizes.
+template <class Grad>
+void alif_bptt_step(std::int64_t len, const float* __restrict vd_row,
+                    const float* __restrict z_row,
+                    const float* __restrict b0_row,
+                    const float* __restrict gz_row, float* __restrict dx_row,
+                    float* __restrict gv, float* __restrict gi,
+                    float* __restrict gb, Grad sg, const AlifParameters& p) {
+  const float a = p.lif.a();
+  const float bsyn = p.lif.b();
+  const float v_th = p.lif.v_th;
+  const float v_reset = p.lif.v_reset;
+  const float beta = p.beta;
+  const float rho = p.rho;
+  for (std::int64_t k = 0; k < len; ++k) {
+    const float vd = vd_row[k];
+    const float z = z_row[k];
+    const float b0 = b0_row[k];
+    const float carry_v = gv[k];
+    const float carry_i = gi[k];
+    const float carry_b = gb[k];
+    dx_row[k] = carry_i;
+    const float theta = v_th + beta * b0;
+    const float s = sg(vd - theta);
+    const float tdz =
+        gz_row[k] + carry_v * (v_reset - vd) + carry_b * (1.0f - rho);
+    const float gvd = carry_v * (1.0f - z) + tdz * s;
+    gv[k] = gvd * (1.0f - a);
+    gi[k] = gvd * a + carry_i * bsyn;
+    gb[k] = carry_b * rho - tdz * beta * s;
+  }
+}
+
+}  // namespace
+
 void AlifParameters::validate() const {
   lif.validate();
   SNNSEC_CHECK(beta >= 0.0f, "AlifParameters: negative beta");
@@ -22,33 +62,47 @@ void AlifParameters::validate() const {
                "AlifParameters: rho must be in [0, 1)");
 }
 
-// Branch-free per-element update (the spike is a select), vectorized by the
-// target_clones v3 version. Single source of truth for the ALIF dynamics:
-// the unrolled forward below and AnytimeRunner's kAlif stage both call this
-// symbol, which keeps the two paths bit-identical per machine.
+// Single source of truth for the ALIF dynamics: the unrolled forward below
+// and AnytimeRunner's kAlif stage both call this symbol, which keeps the two
+// paths bit-identical per machine. Rounding contract, as for lif_step (see
+// lif.cpp): the v3 clone fuses vd, bsyn, theta = fma(beta, b0, v_th) and
+// b' = fma(rho, b0, (1-rho)*z); i' = round(bsyn*i) + x never fuses (the
+// product goes through state_i); the default clone fuses nothing. (1-rho)*z
+// is exact for z in {0, 1}, and taking it as a masked value leaves rho*b0 as
+// the only product the adaptation update can fuse. No two of the seven
+// arrays may overlap (`__restrict`: six written arrays are more runtime
+// alias checks than GCC versions a loop for, so without it the loop stays
+// scalar).
 SNNSEC_KERNEL_CLONES
-void alif_step(const AlifParameters& p, std::int64_t n, const float* x,
-               float* state_i, float* state_v, float* state_b, float* z_out,
-               float* v_decayed_out, float* b0_out) {
+void alif_step(const AlifParameters& p, std::int64_t n,
+               const float* __restrict x, float* __restrict state_i,
+               float* __restrict state_v, float* __restrict state_b,
+               float* __restrict z_out, float* __restrict v_decayed_out,
+               float* __restrict b0_out) {
   const float a = p.lif.a();
   const float bsyn = p.lif.b();
+  const float v_leak = p.lif.v_leak;
+  const float v_th = p.lif.v_th;
+  const float v_reset = p.lif.v_reset;
   const float beta = p.beta;
   const float rho = p.rho;
+  const float one_minus_rho = 1.0f - rho;
   for (std::int64_t k = 0; k < n; ++k) {
     const float v0 = state_v[k];
     const float i0 = state_i[k];
     const float b0 = state_b[k];
-    const float v_decayed = v0 + a * ((p.lif.v_leak - v0) + i0);
-    const float i_decayed = bsyn * i0;
-    const float theta = p.lif.v_th + beta * b0;
-    const float spike = v_decayed > theta ? 1.0f : 0.0f;
+    const float v_decayed = v0 + a * ((v_leak - v0) + i0);
+    const float theta = v_th + beta * b0;
+    const float spike = util::value_if_above(v_decayed, theta, 1.0f);
     v_decayed_out[k] = v_decayed;
     b0_out[k] = b0;  // pre-update adaptation (enters theta); BPTT input
     z_out[k] = spike;
-    state_v[k] = (1.0f - spike) * v_decayed + spike * p.lif.v_reset;
-    state_i[k] = i_decayed + x[k];
-    state_b[k] = rho * b0 + (1.0f - rho) * spike;
+    state_v[k] = (1.0f - spike) * v_decayed + spike * v_reset;
+    state_i[k] = bsyn * i0;
+    state_b[k] =
+        rho * b0 + util::value_if_above(v_decayed, theta, one_minus_rho);
   }
+  for (std::int64_t k = 0; k < n; ++k) state_i[k] += x[k];
 }
 
 AlifLayer::AlifLayer(std::int64_t time_steps, AlifParameters params,
@@ -111,12 +165,6 @@ Tensor AlifLayer::backward(const Tensor& grad_out) {
   SNNSEC_CHECK(have_cache_, name() << "::backward without cached forward");
   SNNSEC_CHECK(grad_out.shape() == spikes_.shape(),
                name() << "::backward: grad shape mismatch");
-  const LifParameters& p = params_.lif;
-  const float a = p.a();
-  const float bsyn = p.b();
-  const float beta = params_.beta;
-  const float rho = params_.rho;
-  const Surrogate sg = surrogate_;
   const std::int64_t per_step = per_step_;
 
   Tensor dx(grad_out.shape());
@@ -126,31 +174,25 @@ Tensor AlifLayer::backward(const Tensor& grad_out) {
   const float* pb = adaptation_.data();
   float* pdx = dx.data();
 
-  util::parallel_for_chunked(0, per_step, [&](std::int64_t lo, std::int64_t hi) {
-    const std::int64_t len = hi - lo;
-    std::vector<float> gv(static_cast<std::size_t>(len), 0.0f);
-    std::vector<float> gi(static_cast<std::size_t>(len), 0.0f);
-    std::vector<float> gb(static_cast<std::size_t>(len), 0.0f);
-    for (std::int64_t t = time_steps_ - 1; t >= 0; --t) {
-      const std::int64_t off = t * per_step + lo;
-      for (std::int64_t k = 0; k < len; ++k) {
-        const float vd = pvd[off + k];
-        const float z = pz[off + k];
-        const float b0 = pb[off + k];
-        const float carry_v = gv[static_cast<std::size_t>(k)];
-        const float carry_i = gi[static_cast<std::size_t>(k)];
-        const float carry_b = gb[static_cast<std::size_t>(k)];
-        pdx[off + k] = carry_i;
-        const float theta = p.v_th + beta * b0;
-        const float s = sg.grad(vd - theta);
-        const float tdz = gz[off + k] + carry_v * (p.v_reset - vd) +
-                          carry_b * (1.0f - rho);
-        const float gvd = carry_v * (1.0f - z) + tdz * s;
-        gv[static_cast<std::size_t>(k)] = gvd * (1.0f - a);
-        gi[static_cast<std::size_t>(k)] = gvd * a + carry_i * bsyn;
-        gb[static_cast<std::size_t>(k)] = carry_b * rho - tdz * beta * s;
-      }
-    }
+  // The surrogate kind is resolved once, outside the BPTT loop.
+  surrogate_.with_grad([&](auto sg) {
+    util::parallel_for_chunked(
+        0, per_step, [&](std::int64_t lo, std::int64_t hi) {
+          const std::int64_t len = hi - lo;
+          util::Workspace& tws = util::Workspace::local();
+          util::Workspace::Scope chunk_scope(tws);
+          float* gv = tws.alloc<float>(static_cast<std::size_t>(len));
+          float* gi = tws.alloc<float>(static_cast<std::size_t>(len));
+          float* gb = tws.alloc<float>(static_cast<std::size_t>(len));
+          std::fill(gv, gv + len, 0.0f);
+          std::fill(gi, gi + len, 0.0f);
+          std::fill(gb, gb + len, 0.0f);
+          for (std::int64_t t = time_steps_ - 1; t >= 0; --t) {
+            const std::int64_t off = t * per_step + lo;
+            alif_bptt_step(len, pvd + off, pz + off, pb + off, gz + off,
+                           pdx + off, gv, gi, gb, sg, params_);
+          }
+        });
   });
   return dx;
 }

@@ -34,7 +34,8 @@ struct AlifParameters {
 /// PRE-update adaptation trace (the value that entered the threshold) into
 /// b0_out — BPTT needs it. Updates state_i/state_v/state_b in place.
 /// Shared by AlifLayer::forward and AnytimeRunner's kAlif stage so both
-/// paths run the identical arithmetic (the bit-identity contract).
+/// paths run the identical arithmetic (the bit-identity contract). No two
+/// of the seven arrays may overlap.
 void alif_step(const AlifParameters& p, std::int64_t n, const float* x,
                float* state_i, float* state_v, float* state_b, float* z_out,
                float* v_decayed_out, float* b0_out);

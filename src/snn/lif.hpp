@@ -53,7 +53,8 @@ struct LifState {
 
 /// One forward Euler step over a population (flat arrays of length n).
 /// Writes spikes into `z_out` and the pre-reset membrane into
-/// `v_decayed_out` (needed by BPTT); updates state in place.
+/// `v_decayed_out` (needed by BPTT); updates state in place. `x` must not
+/// overlap any other array.
 void lif_step(const LifParameters& p, std::int64_t n, const float* x,
               float* state_i, float* state_v, float* z_out,
               float* v_decayed_out);

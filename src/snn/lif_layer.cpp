@@ -20,6 +20,36 @@ namespace snnsec::snn {
 using tensor::Shape;
 using tensor::Tensor;
 
+namespace {
+
+/// One reverse time step of LIF BPTT over `len` neurons: reads the step's
+/// pre-reset membrane, spikes and upstream gradient, writes dL/dx and
+/// updates the carries gv/gi in place. `sg` is the surrogate with its kind
+/// resolved (Surrogate::with_grad); no two arrays overlap, so the loop
+/// vectorizes.
+template <class Grad>
+void lif_bptt_step(std::int64_t len, const float* __restrict vd_row,
+                   const float* __restrict z_row,
+                   const float* __restrict gz_row, float* __restrict dx_row,
+                   float* __restrict gv, float* __restrict gi, Grad sg,
+                   float a, float b, float v_th, float v_reset) {
+  for (std::int64_t k = 0; k < len; ++k) {
+    const float vd = vd_row[k];
+    const float z = z_row[k];
+    const float carry_v = gv[k];
+    const float carry_i = gi[k];
+    // dL/dx_t: x enters i_t directly.
+    dx_row[k] = carry_i;
+    // Spike gradient: external + reset gate contribution.
+    const float tdz = gz_row[k] + carry_v * (v_reset - vd);
+    const float gvd = carry_v * (1.0f - z) + tdz * sg(vd - v_th);
+    gv[k] = gvd * (1.0f - a);
+    gi[k] = gvd * a + carry_i * b;
+  }
+}
+
+}  // namespace
+
 LifLayer::LifLayer(std::int64_t time_steps, LifParameters params,
                    Surrogate surrogate)
     : time_steps_(time_steps), params_(params), surrogate_(surrogate) {
@@ -104,7 +134,6 @@ Tensor LifLayer::backward(const Tensor& grad_out) {
   const float b = params_.b();
   const float v_th = params_.v_th;
   const float v_reset = params_.v_reset;
-  const Surrogate sg = surrogate_;
 
   Tensor dx(grad_out.shape());
   const float* gz = grad_out.data();
@@ -112,33 +141,26 @@ Tensor LifLayer::backward(const Tensor& grad_out) {
   const float* pz = spikes_.data();
   float* pdx = dx.data();
 
-  util::parallel_for_chunked(0, per_step, [&](std::int64_t lo, std::int64_t hi) {
-    const std::int64_t len = hi - lo;
-    // Carry buffers come from the worker thread's arena — BPTT is invoked
-    // once per training batch and per attack step, so per-call vectors here
-    // were a steady malloc/free drumbeat.
-    util::Workspace& tws = util::Workspace::local();
-    util::Workspace::Scope chunk_scope(tws);
-    float* gv = tws.alloc<float>(static_cast<std::size_t>(len));
-    float* gi = tws.alloc<float>(static_cast<std::size_t>(len));
-    std::fill(gv, gv + len, 0.0f);
-    std::fill(gi, gi + len, 0.0f);
-    for (std::int64_t t = time_steps_ - 1; t >= 0; --t) {
-      const std::int64_t off = t * per_step + lo;
-      for (std::int64_t k = 0; k < len; ++k) {
-        const float vd = pvd[off + k];
-        const float z = pz[off + k];
-        const float carry_v = gv[k];
-        const float carry_i = gi[k];
-        // dL/dx_t: x enters i_t directly.
-        pdx[off + k] = carry_i;
-        // Spike gradient: external + reset gate contribution.
-        const float tdz = gz[off + k] + carry_v * (v_reset - vd);
-        const float gvd = carry_v * (1.0f - z) + tdz * sg.grad(vd - v_th);
-        gv[k] = gvd * (1.0f - a);
-        gi[k] = gvd * a + carry_i * b;
-      }
-    }
+  // The surrogate kind is resolved once, outside the BPTT loop.
+  surrogate_.with_grad([&](auto sg) {
+    util::parallel_for_chunked(
+        0, per_step, [&](std::int64_t lo, std::int64_t hi) {
+          const std::int64_t len = hi - lo;
+          // Carry buffers come from the worker thread's arena — BPTT is
+          // invoked once per training batch and per attack step, so
+          // per-call vectors here were a steady malloc/free drumbeat.
+          util::Workspace& tws = util::Workspace::local();
+          util::Workspace::Scope chunk_scope(tws);
+          float* gv = tws.alloc<float>(static_cast<std::size_t>(len));
+          float* gi = tws.alloc<float>(static_cast<std::size_t>(len));
+          std::fill(gv, gv + len, 0.0f);
+          std::fill(gi, gi + len, 0.0f);
+          for (std::int64_t t = time_steps_ - 1; t >= 0; --t) {
+            const std::int64_t off = t * per_step + lo;
+            lif_bptt_step(len, pvd + off, pz + off, gz + off, pdx + off, gv,
+                          gi, sg, a, b, v_th, v_reset);
+          }
+        });
   });
   return dx;
 }

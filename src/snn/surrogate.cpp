@@ -7,10 +7,8 @@ namespace snnsec::snn {
 
 float Surrogate::grad(float u) const {
   switch (kind) {
-    case SurrogateKind::kSuperSpike: {
-      const float d = 1.0f + alpha * std::fabs(u);
-      return 1.0f / (d * d);
-    }
+    case SurrogateKind::kSuperSpike:
+      return super_spike_grad(alpha, u);
     case SurrogateKind::kTriangle: {
       const float v = 1.0f - alpha * std::fabs(u);
       return v > 0.0f ? v : 0.0f;

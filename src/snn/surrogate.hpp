@@ -6,6 +6,7 @@
 // paper trained with; the alternatives feed the surrogate ablation bench.
 #pragma once
 
+#include <cmath>
 #include <string>
 
 namespace snnsec::snn {
@@ -27,7 +28,31 @@ struct Surrogate {
   /// Pseudo-derivative at membrane distance u = v - v_th.
   float grad(float u) const;
 
+  /// Calls `body(g)` once, with g a callable `float g(float u)` equal to
+  /// grad(u). For SuperSpike (the default and the paper's choice) g is the
+  /// inlined formula, so a BPTT loop written in `body` has no call or kind
+  /// switch per neuron-step and vectorizes; the ablation kinds get grad()
+  /// itself.
+  template <class Body>
+  void with_grad(Body&& body) const;
+
   std::string to_string() const;
 };
+
+/// SuperSpike's pseudo-derivative, shared by Surrogate::grad and with_grad.
+inline float super_spike_grad(float alpha, float u) {
+  const float d = 1.0f + alpha * std::fabs(u);
+  return 1.0f / (d * d);
+}
+
+template <class Body>
+void Surrogate::with_grad(Body&& body) const {
+  if (kind == SurrogateKind::kSuperSpike) {
+    const float a = alpha;
+    body([a](float u) { return super_spike_grad(a, u); });
+  } else {
+    body([this](float u) { return grad(u); });
+  }
+}
 
 }  // namespace snnsec::snn

@@ -17,22 +17,38 @@ namespace snnsec::tensor {
 
 namespace {
 
-/// One C row of the event kernel: accumulate value-scaled rows of packed B
-/// for every event, four events per trip with a fixed association order, then
-/// the alpha/beta store. The trip count and association depend only on the
-/// row's own event count, never on neighboring rows or the thread schedule —
-/// the bit-identity the serial-vs-parallel tests pin down.
+/// alpha/beta store of one finished C row. Cloned like the kernels that
+/// call it, so beta*c + alpha*acc rounds the way it did inside them.
+SNNSEC_KERNEL_CLONES
+void store_row(std::int64_t n, float alpha, float beta, const float* acc,
+               float* crow) {
+  // NOLINTNEXTLINE(snnsec-float-eq): beta exactly 0 selects the overwrite path; near-zero must still scale C
+  if (beta == 0.0f) {
+    for (std::int64_t j = 0; j < n; ++j) crow[j] = alpha * acc[j];
+  } else {
+    for (std::int64_t j = 0; j < n; ++j)
+      crow[j] = beta * crow[j] + alpha * acc[j];
+  }
+}
+
+/// One C row of the event kernel: accumulate value-scaled rows of op(B) =
+/// B [k, n] (row p at b + p*ldb) for every event, four events per trip with
+/// a fixed association order, then the alpha/beta store. The trip count and
+/// association depend only on the row's own event count, never on
+/// neighboring rows or the thread schedule — the bit-identity the
+/// serial-vs-parallel tests pin down.
 SNNSEC_KERNEL_CLONES
 void event_accum_row(std::int64_t cnt, const std::int32_t* idx,
-                     const float* val, const float* bp, std::int64_t n,
-                     float alpha, float beta, float* crow, float* acc) {
+                     const float* val, const float* b, std::int64_t ldb,
+                     std::int64_t n, float alpha, float beta, float* crow,
+                     float* acc) {
   std::fill(acc, acc + n, 0.0f);
   std::int64_t e = 0;
   for (; e + 4 <= cnt; e += 4) {
-    const float* b0 = bp + static_cast<std::int64_t>(idx[e]) * n;
-    const float* b1 = bp + static_cast<std::int64_t>(idx[e + 1]) * n;
-    const float* b2 = bp + static_cast<std::int64_t>(idx[e + 2]) * n;
-    const float* b3 = bp + static_cast<std::int64_t>(idx[e + 3]) * n;
+    const float* b0 = b + static_cast<std::int64_t>(idx[e]) * ldb;
+    const float* b1 = b + static_cast<std::int64_t>(idx[e + 1]) * ldb;
+    const float* b2 = b + static_cast<std::int64_t>(idx[e + 2]) * ldb;
+    const float* b3 = b + static_cast<std::int64_t>(idx[e + 3]) * ldb;
     const float v0 = val[e];
     const float v1 = val[e + 1];
     const float v2 = val[e + 2];
@@ -41,16 +57,55 @@ void event_accum_row(std::int64_t cnt, const std::int32_t* idx,
       acc[j] += v0 * b0[j] + v1 * b1[j] + v2 * b2[j] + v3 * b3[j];
   }
   for (; e < cnt; ++e) {
-    const float* brow = bp + static_cast<std::int64_t>(idx[e]) * n;
+    const float* brow = b + static_cast<std::int64_t>(idx[e]) * ldb;
     const float v = val[e];
     for (std::int64_t j = 0; j < n; ++j) acc[j] += v * brow[j];
   }
-  // NOLINTNEXTLINE(snnsec-float-eq): beta exactly 0 selects the overwrite path; near-zero must still scale C
-  if (beta == 0.0f) {
-    for (std::int64_t j = 0; j < n; ++j) crow[j] = alpha * acc[j];
-  } else {
+  store_row(n, alpha, beta, acc, crow);
+}
+
+/// event_accum_row for op(B) = W^T with W stored [n, k] (an event Linear's
+/// [out, in] weight, row j at w + j*ldw): the same expression per output,
+/// reading event p's weights down column p of W. Every acc[j] sees the same
+/// operations in the same order as event_accum_row on a packed W^T, so the
+/// two are bit-identical.
+SNNSEC_KERNEL_CLONES
+void event_accum_row_wt(std::int64_t cnt, const std::int32_t* idx,
+                        const float* val, const float* w, std::int64_t ldw,
+                        std::int64_t n, float alpha, float beta, float* crow,
+                        float* acc) {
+  std::fill(acc, acc + n, 0.0f);
+  std::int64_t e = 0;
+  for (; e + 4 <= cnt; e += 4) {
+    const float* w0 = w + idx[e];
+    const float* w1 = w + idx[e + 1];
+    const float* w2 = w + idx[e + 2];
+    const float* w3 = w + idx[e + 3];
+    const float v0 = val[e];
+    const float v1 = val[e + 1];
+    const float v2 = val[e + 2];
+    const float v3 = val[e + 3];
     for (std::int64_t j = 0; j < n; ++j)
-      crow[j] = beta * crow[j] + alpha * acc[j];
+      acc[j] += v0 * w0[j * ldw] + v1 * w1[j * ldw] + v2 * w2[j * ldw] +
+                v3 * w3[j * ldw];
+  }
+  for (; e < cnt; ++e) {
+    const float* wcol = w + idx[e];
+    const float v = val[e];
+    for (std::int64_t j = 0; j < n; ++j) acc[j] += v * wcol[j * ldw];
+  }
+  store_row(n, alpha, beta, acc, crow);
+}
+
+/// bt [k, n] = W^T for W [n, k] with leading dimension ldw, eight W rows
+/// at a time so each pass over k writes whole bt cache lines.
+void pack_transposed(const float* w, std::int64_t ldw, std::int64_t n,
+                     std::int64_t k, float* bt) {
+  constexpr std::int64_t kRows = 8;
+  for (std::int64_t j0 = 0; j0 < n; j0 += kRows) {
+    const std::int64_t j1 = std::min(n, j0 + kRows);
+    for (std::int64_t p = 0; p < k; ++p)
+      for (std::int64_t j = j0; j < j1; ++j) bt[p * n + j] = w[j * ldw + p];
   }
 }
 
@@ -241,8 +296,7 @@ void conv_events(const ConvGeometry& g, const float* images,
   util::Workspace::Scope scope(ws);
   // Pack W^T [patch, cout] once so the scatter's inner FMA is unit-stride.
   float* wt = ws.alloc<float>(static_cast<std::size_t>(patch * cout));
-  for (std::int64_t p = 0; p < patch; ++p)
-    for (std::int64_t j = 0; j < cout; ++j) wt[p * cout + j] = w[j * patch + p];
+  pack_transposed(w, patch, cout, patch, wt);
   // Scanline event lists for the whole batch: each input pixel read once.
   const EventRows in_ev = build_event_rows(
       images, g.width, batch * g.channels * g.height, g.width, ws);
@@ -269,32 +323,42 @@ void gemm_events(const EventRows& ev, Trans trans_b, std::int64_t n,
   const std::int64_t k = ev.cols;
   SNNSEC_COUNTER_ADD("tensor.gemm.calls", 1);
   SNNSEC_COUNTER_ADD("tensor.gemm.events_path", 1);
-  util::Workspace& ws = util::Workspace::local();
-  util::Workspace::Scope scope(ws);
-  // Pack op(B) contiguous [k, n] once, exactly as the zero-skip kernel does,
-  // so the per-event row streams are unit-stride.
-  float* bp = ws.alloc<float>(static_cast<std::size_t>(k * n));
-  if (trans_b == Trans::kNo && ldb == n) {
-    std::copy(b, b + k * n, bp);
-  } else if (trans_b == Trans::kNo) {
-    for (std::int64_t kk = 0; kk < k; ++kk)
-      for (std::int64_t j = 0; j < n; ++j) bp[kk * n + j] = b[kk * ldb + j];
-  } else {
-    for (std::int64_t kk = 0; kk < k; ++kk)
-      for (std::int64_t j = 0; j < n; ++j) bp[kk * n + j] = b[j * ldb + kk];
-  }
-
   const std::int32_t* cnt = ev.count;
   const std::int32_t* idx = ev.index;
   const float* val = ev.value;
   const std::int64_t stride = ev.stride;
+  // op(B) = B is read in place. op(B) = W^T is read in place down W's
+  // columns while the call has at most k events — each weight is then
+  // touched about once, and a serving step's few rows skip the transpose
+  // entirely. Past that (a whole-window or training batch) W^T is packed
+  // once so every event streams a contiguous row. All three are
+  // bit-identical: the per-output expression and its order never change.
+  std::int64_t events = 0;
+  if (trans_b == Trans::kYes)
+    for (std::int64_t i = 0; i < ev.rows && events <= k; ++i) events += cnt[i];
+  const bool in_place_wt = trans_b == Trans::kYes && events <= k;
+  util::Workspace& ws = util::Workspace::local();
+  util::Workspace::Scope scope(ws);
+  const float* bp = b;
+  std::int64_t ldbp = ldb;
+  if (trans_b == Trans::kYes && !in_place_wt) {
+    float* bt = ws.alloc<float>(static_cast<std::size_t>(k * n));
+    pack_transposed(b, ldb, n, k, bt);
+    bp = bt;
+    ldbp = n;
+  }
   auto row_panel = [=](std::int64_t lo, std::int64_t hi) {
     util::Workspace& tws = util::Workspace::local();
     util::Workspace::Scope row_scope(tws);
     float* acc = tws.alloc<float>(static_cast<std::size_t>(n));
-    for (std::int64_t i = lo; i < hi; ++i)
-      event_accum_row(cnt[i], idx + i * stride, val + i * stride, bp, n,
-                      alpha, beta, c + i * ldc, acc);
+    for (std::int64_t i = lo; i < hi; ++i) {
+      if (in_place_wt)
+        event_accum_row_wt(cnt[i], idx + i * stride, val + i * stride, bp,
+                           ldbp, n, alpha, beta, c + i * ldc, acc);
+      else
+        event_accum_row(cnt[i], idx + i * stride, val + i * stride, bp, ldbp,
+                        n, alpha, beta, c + i * ldc, acc);
+    }
   };
   // Same size threshold as the dense/sparse kernels — a shape property, not
   // a data property, so the schedule is deterministic per call site.

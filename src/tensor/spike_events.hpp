@@ -97,7 +97,9 @@ void conv_events(const ConvGeometry& g, const float* images,
 /// described by `ev` and op(B) is [cols, n]. Same stride semantics as
 /// gemm_raw: op(B)[p,j] lives at b[p*ldb + j] (kNo) or b[j*ldb + p] (kYes);
 /// C row i starts at c[i*ldc]. Rows are computed independently — serial and
-/// parallel execution are bit-identical.
+/// parallel execution are bit-identical. kYes reads b in place while the
+/// call has at most `cols` events and packs it transposed beyond that; the
+/// two give identical bits, equal to kNo on the transposed matrix.
 void gemm_events(const EventRows& ev, Trans trans_b, std::int64_t n,
                  float alpha, const float* b, std::int64_t ldb, float beta,
                  float* c, std::int64_t ldc);

@@ -1,6 +1,10 @@
 // Adaptive-threshold LIF layer: dynamics and BPTT.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "snn/alif_layer.hpp"
 #include "snn/lif_layer.hpp"
 #include "snn/spiking_lenet.hpp"
@@ -26,6 +30,74 @@ TEST(AlifParameters, Validation) {
   EXPECT_THROW(make_params(1.0f, -0.1f).validate(), util::Error);
   EXPECT_THROW(make_params(1.0f, 1.0f, 1.0f).validate(), util::Error);
   EXPECT_THROW(make_params(-1.0f).validate(), util::Error);
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// alif_step's vector body and scalar tail must round every element the
+// same: one n-element call equals n one-element calls, bit for bit. The
+// population puts membranes exactly on the (unadapted) threshold, one ulp
+// above it, and at -0.0f, and drives every third neuron hard enough to
+// refire through its rising adaptive threshold.
+TEST(AlifStep, OneCallEqualsPerElementCalls) {
+  AlifParameters reset_neg_zero = make_params(0.6f, 0.4f, 0.8f);
+  reset_neg_zero.lif.v_reset = -0.0f;
+  for (const AlifParameters& p : {make_params(), reset_neg_zero}) {
+    const float v_th = p.lif.v_th;
+    for (const std::int64_t n : {1, 7, 8, 9, 31, 1000}) {
+      const auto sz = static_cast<std::size_t>(n);
+      std::vector<float> x(sz), i(sz), v(sz), b(sz, 0.0f);
+      std::uint32_t r = static_cast<std::uint32_t>(n);
+      const auto next = [&r] {
+        r = r * 1664525u + 1013904223u;
+        return static_cast<float>(r >> 8) / static_cast<float>(1u << 24);
+      };
+      for (std::size_t k = 0; k < sz; ++k) {
+        switch (k % 4) {
+          case 0:  // vd == v_th exactly with b = 0: must not fire
+            v[k] = v_th;
+            i[k] = v_th;
+            break;
+          case 1:  // one ulp above: fires
+            v[k] = std::nextafter(v_th, 2.0f * v_th);
+            i[k] = v[k];
+            break;
+          case 2:
+            v[k] = -0.0f;
+            i[k] = -0.0f;
+            b[k] = -0.0f;
+            break;
+          default:
+            v[k] = 2.0f * v_th * next() - 0.5f * v_th;
+            i[k] = 4.0f * next() - 1.0f;
+            b[k] = next();
+        }
+        x[k] = k % 3 == 0 ? 12.0f * v_th : (k % 5 == 0 ? -0.0f : next());
+      }
+      std::vector<float> ri = i, rv = v, rb = b;
+      std::vector<float> z(sz), vd(sz), b0(sz), rz(sz), rvd(sz), rb0(sz);
+      for (int t = 0; t < 12; ++t) {
+        alif_step(p, n, x.data(), i.data(), v.data(), b.data(), z.data(),
+                  vd.data(), b0.data());
+        for (std::size_t k = 0; k < sz; ++k)
+          alif_step(p, 1, &x[k], &ri[k], &rv[k], &rb[k], &rz[k], &rvd[k],
+                    &rb0[k]);
+        if (t == 0 && n >= 2) {
+          EXPECT_EQ(z[0], 0.0f) << "vd == theta fired, n=" << n;
+          EXPECT_EQ(z[1], 1.0f) << "vd one ulp above theta silent, n=" << n;
+        }
+        ASSERT_TRUE(same_bits(z, rz)) << "z, n=" << n << " t=" << t;
+        ASSERT_TRUE(same_bits(vd, rvd)) << "vd, n=" << n << " t=" << t;
+        ASSERT_TRUE(same_bits(b0, rb0)) << "b0, n=" << n << " t=" << t;
+        ASSERT_TRUE(same_bits(v, rv)) << "v, n=" << n << " t=" << t;
+        ASSERT_TRUE(same_bits(i, ri)) << "i, n=" << n << " t=" << t;
+        ASSERT_TRUE(same_bits(b, rb)) << "b, n=" << n << " t=" << t;
+      }
+    }
+  }
 }
 
 TEST(AlifLayer, BetaZeroMatchesPlainLif) {

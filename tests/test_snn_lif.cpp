@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "snn/lif.hpp"
@@ -130,23 +131,117 @@ TEST(LifStep, ZeroInputDecaysToLeak) {
   EXPECT_NEAR(i, 0.0f, 1e-3f);
 }
 
+/// Populations of n neurons for the one-call vs per-element checks: every
+/// fourth neuron sits exactly on the threshold after the decay (v = i = v_th
+/// with v_leak = 0 gives vd = v_th, which must NOT fire), every fourth one
+/// ulp above it, and the rest random, with -0.0f in the state and input.
+struct Population {
+  std::vector<float> x, i, v;
+};
+
+Population edge_population(std::int64_t n, float v_th, std::uint32_t seed) {
+  Population pop;
+  const auto sz = static_cast<std::size_t>(n);
+  pop.x.resize(sz);
+  pop.i.resize(sz);
+  pop.v.resize(sz);
+  std::uint32_t r = seed;
+  const auto next = [&r] {
+    r = r * 1664525u + 1013904223u;
+    return static_cast<float>(r >> 8) / static_cast<float>(1u << 24);
+  };
+  for (std::size_t k = 0; k < sz; ++k) {
+    switch (k % 4) {
+      case 0:
+        pop.v[k] = v_th;
+        pop.i[k] = v_th;
+        break;
+      case 1:
+        pop.v[k] = std::nextafter(v_th, 2.0f * v_th);
+        pop.i[k] = pop.v[k];
+        break;
+      case 2:
+        pop.v[k] = -0.0f;
+        pop.i[k] = -0.0f;
+        break;
+      default:
+        pop.v[k] = 2.0f * v_th * next() - 0.5f * v_th;
+        pop.i[k] = 4.0f * next() - 1.0f;
+    }
+    // Strong input on every third neuron: it refires right after a reset.
+    pop.x[k] = k % 3 == 0 ? 12.0f * v_th : (k % 5 == 0 ? -0.0f : next());
+  }
+  return pop;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// The v3 clone runs an n-element call through its vector body and a scalar
+// tail; a one-element call runs the tail alone. The two must round every
+// element identically (memcmp), or AnytimeRunner (whole slab) and LifLayer
+// (chunks) would diverge. n covers below, at and just past one 8-lane
+// vector, and several vectors plus a tail.
 TEST(LifStep, VectorizedMatchesScalar) {
+  LifParameters reset_nonzero = default_params();
+  reset_nonzero.v_reset = 0.25f;
+  LifParameters reset_neg_zero = default_params();
+  reset_neg_zero.v_reset = -0.0f;
+  for (const LifParameters& p :
+       {default_params(), reset_nonzero, reset_neg_zero}) {
+    for (const std::int64_t n : {1, 7, 8, 9, 17, 31, 1000}) {
+      Population pop =
+          edge_population(n, p.v_th, static_cast<std::uint32_t>(n));
+      Population ref = pop;
+      const auto sz = static_cast<std::size_t>(n);
+      std::vector<float> z(sz), vd(sz), rz(sz), rvd(sz);
+      for (int t = 0; t < 12; ++t) {
+        lif_step(p, n, pop.x.data(), pop.i.data(), pop.v.data(), z.data(),
+                 vd.data());
+        for (std::size_t k = 0; k < sz; ++k)
+          lif_step(p, 1, &ref.x[k], &ref.i[k], &ref.v[k], &rz[k], &rvd[k]);
+        ASSERT_TRUE(same_bits(z, rz)) << "z, n=" << n << " t=" << t;
+        ASSERT_TRUE(same_bits(vd, rvd)) << "vd, n=" << n << " t=" << t;
+        ASSERT_TRUE(same_bits(pop.v, ref.v)) << "v, n=" << n << " t=" << t;
+        ASSERT_TRUE(same_bits(pop.i, ref.i)) << "i, n=" << n << " t=" << t;
+      }
+    }
+  }
+}
+
+TEST(LifStep, MembraneExactlyAtThresholdDoesNotFire) {
   const LifParameters p = default_params();
-  constexpr int kN = 17;
-  std::vector<float> x(kN), iv(kN, 0.0f), vv(kN, 0.0f), z(kN), vd(kN);
-  for (int k = 0; k < kN; ++k) x[static_cast<std::size_t>(k)] = 0.1f * static_cast<float>(k);
-  // Reference: per-neuron scalar simulation.
-  std::vector<float> ri(kN, 0.0f), rv(kN, 0.0f);
-  for (int t = 0; t < 20; ++t) {
-    lif_step(p, kN, x.data(), iv.data(), vv.data(), z.data(), vd.data());
-    for (int k = 0; k < kN; ++k) {
-      float zz = 0.0f, vvd = 0.0f;
-      lif_step(p, 1, &x[static_cast<std::size_t>(k)],
-               &ri[static_cast<std::size_t>(k)],
-               &rv[static_cast<std::size_t>(k)], &zz, &vvd);
-      EXPECT_FLOAT_EQ(vv[static_cast<std::size_t>(k)],
-                      rv[static_cast<std::size_t>(k)]);
-      EXPECT_FLOAT_EQ(z[static_cast<std::size_t>(k)], zz);
+  Population pop = edge_population(9, p.v_th, 1u);
+  std::vector<float> z(9), vd(9);
+  lif_step(p, 9, pop.x.data(), pop.i.data(), pop.v.data(), z.data(),
+           vd.data());
+  for (const std::size_t k : {std::size_t{0}, std::size_t{4}, std::size_t{8}}) {
+    EXPECT_EQ(vd[k], p.v_th) << k;
+    EXPECT_EQ(z[k], 0.0f) << k;
+  }
+  for (const std::size_t k : {std::size_t{1}, std::size_t{5}}) {
+    EXPECT_GT(vd[k], p.v_th) << k;
+    EXPECT_EQ(z[k], 1.0f) << k;
+    EXPECT_EQ(pop.v[k], p.v_reset) << k;
+  }
+}
+
+TEST(LiStep, OneCallEqualsPerElementCalls) {
+  const LifParameters p = default_params();
+  for (const std::int64_t n : {1, 7, 8, 9, 31, 1000}) {
+    Population pop =
+        edge_population(n, p.v_th, static_cast<std::uint32_t>(n));
+    Population ref = pop;
+    const auto sz = static_cast<std::size_t>(n);
+    std::vector<float> out(sz), rout(sz);
+    for (int t = 0; t < 12; ++t) {
+      li_step(p, n, pop.x.data(), pop.i.data(), pop.v.data(), out.data());
+      for (std::size_t k = 0; k < sz; ++k)
+        li_step(p, 1, &ref.x[k], &ref.i[k], &ref.v[k], &rout[k]);
+      ASSERT_TRUE(same_bits(out, rout)) << "n=" << n << " t=" << t;
+      ASSERT_TRUE(same_bits(pop.i, ref.i)) << "n=" << n << " t=" << t;
     }
   }
 }

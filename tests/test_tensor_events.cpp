@@ -213,6 +213,85 @@ TEST(GemmEvents, SerialAndParallelBitIdentical) {
   }
 }
 
+/// [m, k] operand whose row i holds exactly i % 10 events (random columns,
+/// graded values), so every event-group remainder 0..3 and 0..2 full groups
+/// of four occur.
+Tensor counted_events_operand(std::int64_t m, std::int64_t k, util::Rng& rng) {
+  Tensor a(Shape{m, k});
+  for (std::int64_t i = 0; i < m; ++i) {
+    std::vector<bool> used(static_cast<std::size_t>(k), false);
+    std::int64_t placed = 0;
+    while (placed < i % 10) {
+      const auto col =
+          static_cast<std::int64_t>(rng.uniform() * static_cast<double>(k)) %
+          k;
+      if (used[static_cast<std::size_t>(col)]) continue;
+      used[static_cast<std::size_t>(col)] = true;
+      a.at({i, col}) = 0.5f + static_cast<float>(rng.uniform());
+      ++placed;
+    }
+  }
+  return a;
+}
+
+// An event Linear computes events x W^T from the [out, in] weight as
+// stored. gemm_events(kYes, W) reads W in place while the call has at most
+// k events and packs W^T past that; both must be bit-identical to
+// gemm_events(kNo, W^T) — the same per-output sums in the same order —
+// for full calls (parallel once past the size threshold) and for one-row
+// views of the same lists (always serial).
+TEST(GemmEvents, TransposedWeightEqualsPackedTransposeBitwise) {
+  struct Case {
+    std::int64_t m, k, n;
+  };
+  // 8 rows: 28 events over k = 300 (in place, parallel). 10 rows over
+  // k = 37: 45 events (packed, serial). 128 rows: packed, parallel.
+  for (const Case cs :
+       {Case{8, 300, 64}, Case{10, 37, 23}, Case{128, 37, 23}}) {
+    util::Rng rng(static_cast<std::uint64_t>(cs.m * 1000 + cs.k));
+    const Tensor a = counted_events_operand(cs.m, cs.k, rng);
+    const Tensor w = Tensor::randn(Shape{cs.n, cs.k}, rng);  // [out, in]
+    Tensor wt(Shape{cs.k, cs.n});
+    for (std::int64_t p = 0; p < cs.k; ++p)
+      for (std::int64_t j = 0; j < cs.n; ++j) wt.at({p, j}) = w.at({j, p});
+    const Tensor c0 =
+        Tensor::rand_uniform(Shape{cs.m, cs.n}, rng, -1.0f, 1.0f);
+    util::Workspace& ws = util::Workspace::local();
+    util::Workspace::Scope scope(ws);
+    const EventRows ev = build_event_rows(a.data(), cs.k, cs.m, cs.k, ws);
+    for (const float beta : {0.0f, 1.0f}) {
+      Tensor want = c0.clone();
+      Tensor got = c0.clone();
+      gemm_events(ev, Trans::kNo, cs.n, 1.0f, wt.data(), cs.n, beta,
+                  want.data(), cs.n);
+      gemm_events(ev, Trans::kYes, cs.n, 1.0f, w.data(), cs.k, beta,
+                  got.data(), cs.n);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            static_cast<std::size_t>(got.numel()) *
+                                sizeof(float)),
+                0)
+          << "m=" << cs.m << " k=" << cs.k << " beta=" << beta;
+      for (std::int64_t i = 0; i < cs.m; ++i) {
+        EventRows one = ev;
+        one.count = ev.count + i;
+        one.index = ev.index + i * ev.stride;
+        one.value = ev.value + i * ev.stride;
+        one.rows = 1;
+        Tensor row(Shape{1, cs.n});
+        std::memcpy(row.data(), c0.data() + i * cs.n,
+                    static_cast<std::size_t>(cs.n) * sizeof(float));
+        gemm_events(one, Trans::kYes, cs.n, 1.0f, w.data(), cs.k, beta,
+                    row.data(), cs.n);
+        ASSERT_EQ(std::memcmp(row.data(), want.data() + i * cs.n,
+                              static_cast<std::size_t>(cs.n) * sizeof(float)),
+                  0)
+            << "row " << i << " (" << i % 10 << " events) m=" << cs.m
+            << " beta=" << beta;
+      }
+    }
+  }
+}
+
 TEST(BuildConvEvents, MatchesIm2rowLowering) {
   // Reconstruct the dense im2row matrix from the event lists and compare
   // with the transpose of im2col's column matrix.

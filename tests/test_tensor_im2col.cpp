@@ -1,6 +1,9 @@
 // im2col/col2im geometry, correctness, and adjointness.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "util/rng.hpp"
@@ -147,6 +150,107 @@ TEST(Im2colLd, StridedLayoutMatchesContiguousPerSample) {
     for (std::int64_t r = 0; r < g.patch_size(); ++r)
       for (std::int64_t j = 0; j < ohw; ++j)
         EXPECT_FLOAT_EQ(wide.at({r, i * ohw + j}), single.at({r, j}));
+  }
+}
+
+/// Per-element im2col: bounds-tested at every (row, oy, ox).
+void naive_im2col_ld(const ConvGeometry& g, const float* image, float* columns,
+                     std::int64_t ld, std::int64_t col0) {
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  for (std::int64_t c = 0; c < g.channels; ++c)
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+        const std::int64_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+        for (std::int64_t oy = 0; oy < oh; ++oy)
+          for (std::int64_t ox = 0; ox < ow; ++ox) {
+            const std::int64_t iy = oy * g.stride_h + kh - g.pad_h;
+            const std::int64_t ix = ox * g.stride_w + kw - g.pad_w;
+            const bool inside =
+                iy >= 0 && iy < g.height && ix >= 0 && ix < g.width;
+            columns[row * ld + col0 + oy * ow + ox] =
+                inside ? image[(c * g.height + iy) * g.width + ix] : 0.0f;
+          }
+      }
+}
+
+/// Per-element col2im in the same (row, oy, ox) accumulation order.
+void naive_col2im_ld(const ConvGeometry& g, const float* columns,
+                     float* image_grad, std::int64_t ld, std::int64_t col0) {
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  for (std::int64_t c = 0; c < g.channels; ++c)
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+        const std::int64_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+        for (std::int64_t oy = 0; oy < oh; ++oy)
+          for (std::int64_t ox = 0; ox < ow; ++ox) {
+            const std::int64_t iy = oy * g.stride_h + kh - g.pad_h;
+            const std::int64_t ix = ox * g.stride_w + kw - g.pad_w;
+            if (iy >= 0 && iy < g.height && ix >= 0 && ix < g.width)
+              image_grad[(c * g.height + iy) * g.width + ix] +=
+                  columns[row * ld + col0 + oy * ow + ox];
+          }
+      }
+}
+
+// im2col_ld and col2im_ld compute each kernel column's valid output range
+// once instead of testing bounds per element; they must equal the
+// per-element references exactly, including the padded edges, stride 2,
+// rectangular inputs and inputs narrower (or shorter) than the kernel.
+TEST(Im2colLd, MatchesPerElementReference) {
+  struct Case {
+    std::int64_t c, h, w, kh, kw, stride, pad;
+  };
+  std::vector<Case> cases;
+  for (const std::int64_t stride : {1, 2})
+    for (const std::int64_t pad : {0, 1, 2}) {
+      cases.push_back({2, 7, 9, 3, 3, stride, pad});
+      cases.push_back({1, 6, 5, 5, 2, stride, pad});
+      if (pad > 0) {
+        cases.push_back({2, 2, 2, 3, 3, stride, pad});  // narrower than kernel
+        cases.push_back({1, 5, 1, 2, 3, stride, pad});  // one column wide
+      }
+    }
+  std::uint64_t seed = 1;
+  for (const Case& cs : cases) {
+    ConvGeometry g;
+    g.channels = cs.c;
+    g.height = cs.h;
+    g.width = cs.w;
+    g.kernel_h = cs.kh;
+    g.kernel_w = cs.kw;
+    g.stride_h = g.stride_w = cs.stride;
+    g.pad_h = g.pad_w = cs.pad;
+    g.validate();
+    const std::int64_t ohw = g.out_h() * g.out_w();
+    // A second sample's block in a wider matrix: columns [ohw + 3, 2*ohw + 3).
+    const std::int64_t ld = 2 * ohw + 3;
+    const std::int64_t col0 = ohw + 3;
+    util::Rng rng(seed++);
+    const Tensor img = Tensor::randn(Shape{cs.c * cs.h * cs.w}, rng);
+    std::vector<float> got(static_cast<std::size_t>(g.patch_size() * ld),
+                           7.0f);
+    std::vector<float> want = got;
+    im2col_ld(g, img.data(), got.data(), ld, col0);
+    naive_im2col_ld(g, img.data(), want.data(), ld, col0);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+        << "im2col_ld c" << cs.c << " " << cs.h << "x" << cs.w << " k"
+        << cs.kh << "x" << cs.kw << " s" << cs.stride << " p" << cs.pad;
+
+    const Tensor cols = Tensor::randn(Shape{g.patch_size() * ld}, rng);
+    const Tensor grad0 = Tensor::randn(Shape{cs.c * cs.h * cs.w}, rng);
+    Tensor grad_got = grad0.clone();
+    Tensor grad_want = grad0.clone();
+    col2im_ld(g, cols.data(), grad_got.data(), ld, col0);
+    naive_col2im_ld(g, cols.data(), grad_want.data(), ld, col0);
+    EXPECT_EQ(std::memcmp(grad_got.data(), grad_want.data(),
+                          static_cast<std::size_t>(grad_got.numel()) *
+                              sizeof(float)),
+              0)
+        << "col2im_ld c" << cs.c << " " << cs.h << "x" << cs.w << " k"
+        << cs.kh << "x" << cs.kw << " s" << cs.stride << " p" << cs.pad;
   }
 }
 
