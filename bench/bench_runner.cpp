@@ -8,9 +8,10 @@
 //
 // Also hosts the zero-allocation assertion: a global operator new/delete
 // hook counts heap allocations, and after warm-up a steady-state
-// Conv2d::forward_into call must perform exactly zero (the process exits
-// non-zero otherwise). Runs single-threaded by default (SNNSEC_THREADS=1 is
-// set unless the caller overrides) so numbers are comparable across runs.
+// Conv2d::forward_into call must perform exactly zero in eval, attack and
+// train mode alike (the process exits non-zero otherwise). Runs
+// single-threaded by default (SNNSEC_THREADS=1 is set unless the caller
+// overrides) so numbers are comparable across runs.
 //
 // Usage: bench_runner [--quick] [--out PATH]
 //   --quick   fewer reps / smaller shapes (CI smoke)
@@ -69,6 +70,18 @@ struct Result {
   double gflops = 0.0;   // 0 when flops are not well-defined for the op
   std::int64_t extra_i = -1;  // op-specific integer payload (e.g. allocs)
 };
+
+const char* mode_name(nn::Mode mode) {
+  switch (mode) {
+    case nn::Mode::kTrain:
+      return "train";
+    case nn::Mode::kAttack:
+      return "attack";
+    case nn::Mode::kEval:
+      break;
+  }
+  return "eval";
+}
 
 /// Median-of-k timing of fn(), with `warmup` untimed runs first.
 template <typename Fn>
@@ -297,24 +310,45 @@ int run(int argc, char** argv) {
     results.push_back(r);
   }
 
-  // ---- Zero-alloc assertion: after warm-up, a Conv2d::forward_into call in
-  // eval mode must not touch the heap at all (workspace arena + reused
-  // output buffer). Counted over several calls to catch stragglers.
-  std::int64_t conv_allocs = 0;
+  // ---- Attack-mode conv forward at the pgd_attack conv2 shape: 3 -> 8,
+  // 5x5, pad 2 on 8x8 maps, batch 2 x T 24 (the balanced cell) — the dense
+  // lowering every PGD step runs.
   {
+    nn::Conv2d conv_at(nn::Conv2dSpec{3, 8, 5, 1, 2}, rng);
+    const Tensor ax = Tensor::randn(Shape{48, 3, 8, 8}, rng);
+    Result r;
+    r.name = "conv2d_forward_attack";
+    r.reps = reps;
+    Tensor y;
+    r.ns_op = median_ns(reps, warmup, [&] {
+      conv_at.forward_into(ax, y, nn::Mode::kAttack);
+    });
+    results.push_back(r);
+  }
+
+  // ---- Zero-alloc assertion: after warm-up, a Conv2d::forward_into call
+  // must not touch the heap at all (workspace arena + reused output and
+  // input-cache buffers) in any mode. Counted over several calls to catch
+  // stragglers.
+  std::int64_t conv_allocs = 0;
+  for (const nn::Mode mode :
+       {nn::Mode::kEval, nn::Mode::kAttack, nn::Mode::kTrain}) {
     nn::Conv2d conv2(nn::Conv2dSpec{6, 16, 5, 1, 2}, rng);
     Tensor y;
-    for (int i = 0; i < 3; ++i) conv2.forward_into(cx, y, nn::Mode::kEval);
+    for (int i = 0; i < 3; ++i) conv2.forward_into(cx, y, mode);
     const std::int64_t before = g_allocs.load();
-    for (int i = 0; i < 10; ++i) conv2.forward_into(cx, y, nn::Mode::kEval);
-    conv_allocs = g_allocs.load() - before;
+    for (int i = 0; i < 10; ++i) conv2.forward_into(cx, y, mode);
+    const std::int64_t allocs = g_allocs.load() - before;
+    conv_allocs += allocs;
+    std::printf("conv2d_forward (%s) steady-state allocs over 10 calls: %lld\n",
+                mode_name(mode), static_cast<long long>(allocs));
+  }
+  {
     Result r;
     r.name = "conv2d_forward_steady_state";
-    r.reps = 10;
+    r.reps = 30;
     r.extra_i = conv_allocs;
     results.push_back(r);
-    std::printf("conv2d_forward steady-state allocs over 10 calls: %lld\n",
-                static_cast<long long>(conv_allocs));
   }
 
   // ---- Event-driven conv forward: the same conv2 shape fed 10% spikes
@@ -395,7 +429,7 @@ int run(int argc, char** argv) {
   if (conv_allocs != 0) {
     std::fprintf(stderr,
                  "FAIL: Conv2d::forward_into allocated %lld times in steady "
-                 "state (expected 0)\n",
+                 "state across eval/attack/train (expected 0)\n",
                  static_cast<long long>(conv_allocs));
     return 1;
   }

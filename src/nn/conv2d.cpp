@@ -139,14 +139,11 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, Mode mode) {
   const std::int64_t ow = g.out_w();
   const std::int64_t ohw = oh * ow;
   const std::int64_t patch = g.patch_size();
-  const std::int64_t image_size = g.channels * g.height * g.width;
   resolve_kernel();
   if (!cache_enabled(mode) && input_hint_ == tensor::SparsityHint::kEvents) {
-    // Event path is eval-only. Train forwards must materialize the dense
-    // column matrix anyway (the weight gradient consumes it); attack
-    // forwards keep the dense lowering so attack numerics stay bit-identical
-    // to train's. The choice is fixed per (layer, mode) — no data probe, no
-    // mid-run flips.
+    // Event path is eval-only. Train and attack forwards keep the dense
+    // lowering, so attack numerics stay bit-identical to train's. The choice
+    // is fixed per (layer, mode) — no data probe, no mid-run flips.
     forward_events(x, y, g);
     return;
   }
@@ -154,39 +151,20 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, Mode mode) {
   util::Workspace& ws = util::Workspace::local();
   util::Workspace::Scope scope(ws);
 
-  // Column matrix [patch, N*OHW]: workspace scratch in eval and attack mode;
-  // in train mode the weight gradient reads it in backward(), so it lives in
-  // the member buffer, reallocated only when the lowering shape changes.
-  float* pcol;
-  if (param_grads_enabled(mode)) {
-    // Dim-wise compare (not Shape construction) so the steady state stays
-    // allocation-free.
-    if (cached_columns_.ndim() != 2 || cached_columns_.dim(0) != patch ||
-        cached_columns_.dim(1) != n * ohw)
-      cached_columns_ = Tensor(Shape{patch, n * ohw});
-    pcol = cached_columns_.data();
-  } else {
-    pcol = ws.alloc<float>(static_cast<std::size_t>(patch * n * ohw));
-  }
-  {
-    SNNSEC_TRACE_SCOPE("conv.im2col");
-    const float* px = x.data();
-    util::parallel_for(0, n, [&](std::int64_t i) {
-      tensor::im2col_ld(g, px + i * image_size, pcol, n * ohw, i * ohw);
-    });
-  }
+  // A train backward's weight gradient re-lowers the input, so keep a copy.
+  // Copy-assignment reuses the buffer: no allocation at a steady shape.
+  if (param_grads_enabled(mode)) cached_input_ = x;
 
-  // raw = W [Cout, patch] x columns [patch, N*OHW] -> [Cout, N*OHW], GEMM'd
-  // straight into workspace memory. In this lowering op(A) is the WEIGHT
+  // raw = W [Cout, patch] x columns [patch, N*OHW] -> [Cout, N*OHW], with
+  // the columns packed straight from x inside the GEMM. op(A) is the WEIGHT
   // matrix — dense by role whatever the input hint says — so the layer's
   // event resolution is applied above by switching the lowering itself, not
   // by re-tagging this operand.
-  const tensor::SparsityHint weight_role = tensor::SparsityHint::kDense;
   float* praw =
       ws.alloc<float>(static_cast<std::size_t>(spec_.out_channels * n * ohw));
-  tensor::gemm_raw(Trans::kNo, Trans::kNo, spec_.out_channels, n * ohw, patch,
-                   1.0f, weight_.value.data(), patch, pcol, n * ohw, 0.0f,
-                   praw, n * ohw, weight_role);
+  tensor::gemm_conv_raw(Trans::kNo, Trans::kNo, spec_.out_channels, 1.0f,
+                        weight_.value.data(), patch, g, x.data(), n, 0.0f,
+                        praw, n * ohw);
 
   // Fused bias-add + reorder [Cout][n][ohw] -> [n][Cout][ohw], parallel over
   // output channels (each channel writes disjoint rows of y).
@@ -237,10 +215,12 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::int64_t patch = g.patch_size();
   const std::int64_t cout = spec_.out_channels;
   const bool param_grads = param_grads_enabled(cached_mode_);
-  // The lowered columns cached by a train forward must still match this
-  // geometry; a stale cache (e.g. forward ran again with another batch size
-  // between the pair) would silently compute garbage gradients.
-  if (param_grads) SNNSEC_ASSERT_SHAPE(cached_columns_, Shape{patch, n * ohw});
+  // The input cached by a train forward must still match this geometry; a
+  // stale cache (e.g. forward ran again with another batch size between the
+  // pair) would silently compute garbage gradients.
+  if (param_grads)
+    SNNSEC_ASSERT_SHAPE(cached_input_,
+                        Shape{n, g.channels, g.height, g.width});
   util::Workspace& ws = util::Workspace::local();
   util::Workspace::Scope scope(ws);
 
@@ -267,14 +247,13 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     });
   }
 
-  // dW += G x columns^T : [Cout, patch], train only. op(A) is the upstream
-  // gradient — dense by role (surrogate gradients are real-valued, not
-  // spikes); the cached spike columns sit in the B operand, out of any
-  // A-side skip's reach, so the layer's input hint does not apply here.
+  // dW += G x columns^T : [Cout, patch], train only, with columns^T packed
+  // from the cached input. op(A) is the upstream gradient — dense by role
+  // (surrogate gradients are real-valued, not spikes).
   if (param_grads)
-    tensor::gemm_raw(Trans::kNo, Trans::kYes, cout, patch, n * ohw, 1.0f, pm,
-                     n * ohw, cached_columns_.data(), n * ohw, 1.0f,
-                     weight_.grad.data(), patch, tensor::SparsityHint::kDense);
+    tensor::gemm_conv_raw(Trans::kNo, Trans::kYes, cout, 1.0f, pm, n * ohw, g,
+                          cached_input_.data(), n, 1.0f, weight_.grad.data(),
+                          patch);
 
   // dColumns = W^T x G : [patch, N*OHW]; then col2im per sample. op(A) is
   // the weight matrix — dense by role regardless of the input hint.
@@ -307,7 +286,7 @@ std::string Conv2d::name() const {
 }
 
 void Conv2d::clear_cache() {
-  cached_columns_ = Tensor();
+  cached_input_ = Tensor();
   cached_mode_ = Mode::kEval;
 }
 

@@ -1,16 +1,20 @@
-// 2-D convolution (cross-correlation, PyTorch convention) via batched
-// im2col + one large GEMM.
+// 2-D convolution (cross-correlation, PyTorch convention) lowered to one
+// GEMM per call with an implicit im2col.
 //
 // Input  : [N, Cin, H, W]
 // Weight : stored as a [Cout, Cin*KH*KW] GEMM-ready matrix
 // Output : [N, Cout, OH, OW]
 //
-// Forward builds a single [Cin*KH*KW, N*OH*OW] column matrix for the whole
-// batch, multiplies once, and scatters rows back into batch order. A train
-// backward reuses the cached columns for the weight gradient; every
-// backward runs the transposed GEMM + col2im for the input gradient — the
-// input gradient is what white-box attacks differentiate through, and an
-// attack backward computes nothing else.
+// There is one dense lowering, used by every mode: W times the
+// [Cin*KH*KW, N*OH*OW] column matrix of the whole batch, whose GEMM panels
+// are packed straight from the input (tensor::gemm_conv_raw) — no column
+// matrix is ever built — then a fused bias-add scatters the rows back into
+// batch order. Eval mode may instead resolve to the event path (spike
+// inputs, conv_events). A train backward packs columnsᵀ from a cached copy
+// of the input for the weight gradient; every backward runs the transposed
+// GEMM Wᵀ·G + col2im for the input gradient — the input gradient is what
+// white-box attacks differentiate through, and an attack backward computes
+// nothing else.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -35,12 +39,11 @@ class Conv2d final : public Layer {
   tensor::Tensor forward(const tensor::Tensor& x, Mode mode) override;
 
   /// Allocation-free forward: writes into `y`, reshaping it only when the
-  /// output geometry changes. In eval and attack mode every scratch buffer
-  /// (im2col columns, GEMM output) comes from the per-thread
-  /// util::Workspace, so the steady state performs zero heap allocations;
-  /// in train mode the column matrix lives in a member buffer (the weight
-  /// gradient needs it after this call returns) that is likewise reused
-  /// across calls of the same shape.
+  /// output geometry changes. Every scratch buffer (padded input, packed
+  /// panels, GEMM output) comes from the per-thread util::Workspace; in
+  /// train mode the input copy the weight gradient needs lives in a member
+  /// buffer reused across calls of the same shape. So the steady state
+  /// performs zero heap allocations in every mode.
   void forward_into(const tensor::Tensor& x, tensor::Tensor& y, Mode mode);
 
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
@@ -54,14 +57,13 @@ class Conv2d final : public Layer {
   Parameter& bias() { return bias_; }
 
   /// Declare how this layer's input operand is populated. Conv resolves to
-  /// kDense (im2col + blocked GEMM, the default) or kEvents (receptive
-  /// fields compressed to event lists, spike inputs); kSparse is rejected —
-  /// in the im2col lowering the spike sparsity sits in the B operand where
-  /// the zero-skip row kernel cannot reach it. Resolution is STICKY (must
-  /// precede the first forward, never flips afterwards; throws util::Error
-  /// otherwise). The event path runs in eval mode only. Train forwards keep
-  /// the dense lowering because the weight gradient consumes the cached
-  /// dense columns; attack forwards keep it so attack numerics stay
+  /// kDense (implicit im2col + blocked GEMM, the default) or kEvents
+  /// (scatter of W rows per input spike, spike inputs); kSparse is
+  /// rejected — in the im2col lowering the spike sparsity sits in the B
+  /// operand where the zero-skip row kernel cannot reach it. Resolution is
+  /// STICKY (must precede the first forward, never flips afterwards; throws
+  /// util::Error otherwise). The event path runs in eval mode only: train
+  /// and attack forwards keep the dense lowering so attack numerics stay
   /// bit-identical to the train-mode input gradient — still one fixed
   /// kernel per (layer, mode), never data-probed.
   void set_input_hint(tensor::SparsityHint hint);
@@ -86,7 +88,7 @@ class Conv2d final : public Layer {
   Parameter bias_;    // [Cout]
 
   // forward cache
-  tensor::Tensor cached_columns_;  // [patch, N*OH*OW]; read by kTrain only
+  tensor::Tensor cached_input_;  // [N, Cin, H, W]; read by kTrain only
   tensor::ConvGeometry cached_geom_{};
   std::int64_t cached_batch_ = 0;
   Mode cached_mode_ = Mode::kEval;  ///< kEval: nothing cached

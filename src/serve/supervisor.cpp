@@ -75,19 +75,49 @@ Supervisor::Supervisor(SupervisorConfig cfg,
 
 std::uint64_t Supervisor::weights_digest(
     const std::vector<nn::Parameter*>& params) {
-  // FNV-1a over the raw float words: any flipped bit, NaN overwrite or
-  // truncated tensor moves the digest.
-  std::uint64_t h = 1469598103934665603ULL;
+  // FNV-1a over the raw float words, read two floats at a time into four
+  // interleaved lanes: independent multiply chains instead of one serial
+  // chain per float. Every lane step is a bijection of the lane state and
+  // the final fold is a bijection in each lane, so any one flipped bit or
+  // NaN overwrite provably moves the digest; each tensor's numel is folded
+  // in too, so a truncated tensor moves it as well.
+  constexpr std::uint64_t kBasis = 1469598103934665603ULL;
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
+  constexpr std::int64_t kLanes = 4;
+  std::uint64_t lane[kLanes] = {kBasis, kBasis + 1, kBasis + 2, kBasis + 3};
+  std::uint64_t sizes = kBasis;
   for (const nn::Parameter* p : params) {
     const float* d = p->value.data();
     const std::int64_t n = p->value.numel();
-    for (std::int64_t i = 0; i < n; ++i) {
-      std::uint32_t word = 0;
-      std::memcpy(&word, d + i, sizeof(word));
-      h ^= word;
-      h *= 1099511628211ULL;
+    const std::int64_t words = n / 2;
+    std::int64_t w = 0;
+    for (; w + kLanes <= words; w += kLanes)
+      for (std::int64_t l = 0; l < kLanes; ++l) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, d + 2 * (w + l), sizeof(v));
+        lane[l] = (lane[l] ^ v) * kPrime;
+      }
+    for (; w < words; ++w) {
+      std::uint64_t v = 0;
+      std::memcpy(&v, d + 2 * w, sizeof(v));
+      lane[w % kLanes] = (lane[w % kLanes] ^ v) * kPrime;
     }
+    if (n % 2 != 0) {
+      std::uint32_t v = 0;
+      std::memcpy(&v, d + n - 1, sizeof(v));
+      lane[words % kLanes] = (lane[words % kLanes] ^ v) * kPrime;
+    }
+    sizes = (sizes ^ static_cast<std::uint64_t>(n)) * kPrime;
   }
+  // splitmix64's finalizer: invertible, and it spreads every lane bit over
+  // the whole digest.
+  const auto mix = [](std::uint64_t x) {
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  };
+  std::uint64_t h = sizes;
+  for (const std::uint64_t v : lane) h = mix(h ^ v);
   return h;
 }
 

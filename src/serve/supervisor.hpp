@@ -118,7 +118,9 @@ class Supervisor {
   const tensor::Tensor& golden_logits() const { return golden_logits_; }
   std::uint64_t golden_weights_digest() const { return golden_digest_; }
 
-  /// FNV-1a over every parameter float, in parameter-stack order.
+  /// Digest of every parameter float in parameter-stack order, plus each
+  /// tensor's element count: FNV-1a in four parallel lanes (the fast canary
+  /// pays it on every batch). Any single changed float word changes it.
   static std::uint64_t weights_digest(
       const std::vector<nn::Parameter*>& params);
 

@@ -5,10 +5,12 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tensor/im2col.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 #include "util/workspace.hpp"
@@ -103,6 +105,125 @@ void pack_b_block(Trans tb, const float* b, std::int64_t ldb, std::int64_t p0,
   }
 }
 
+/// Copy L consecutive source floats into each of kb packed rows: one run
+/// of a panel, as a constant-size move per row.
+template <std::int64_t L>
+inline void copy_run(float* dst, const float* base, const std::int64_t* k_off,
+                     std::int64_t kb) {
+  for (std::int64_t kk = 0; kk < kb; ++kk)
+    std::memcpy(dst + kk * kNR, base + k_off[kk], sizeof(float) * L);
+}
+
+/// Pack the panels of an operand whose element (p, j) lives at
+/// src[k_off[p] + n_off[j]] into pack_b_block's layout: the implicit im2col
+/// matrix, addressed through offset tables. Within a panel, columns whose
+/// source addresses are consecutive form a run (a stride-1 output row, the
+/// taps of one kernel row), copied 8, 4, 2 or 1 floats at a time; a
+/// stride-2 row degrades to single-float gathers.
+void pack_b_offsets(const float* src, const std::int64_t* k_off,
+                    std::int64_t kb, const std::int64_t* n_off,
+                    std::int64_t nb, float* bp) {
+  const std::int64_t panels = (nb + kNR - 1) / kNR;
+  for (std::int64_t jp = 0; jp < panels; ++jp) {
+    float* dst = bp + jp * kb * kNR;
+    const std::int64_t* off = n_off + jp * kNR;
+    const std::int64_t cols = std::min(kNR, nb - jp * kNR);
+    for (std::int64_t c0 = 0; c0 < cols;) {
+      std::int64_t len = 1;
+      while (c0 + len < cols && off[c0 + len] == off[c0] + len) ++len;
+      const float* base = src + off[c0];
+      if (len == kNR) {
+        copy_run<kNR>(dst, base, k_off, kb);
+      } else if (len >= 4) {
+        copy_run<4>(dst + c0, base, k_off, kb);
+        len = 4;
+      } else if (len >= 2) {
+        copy_run<2>(dst + c0, base, k_off, kb);
+        len = 2;
+      } else {
+        copy_run<1>(dst + c0, base, k_off, kb);
+      }
+      c0 += len;
+    }
+    for (std::int64_t kk = 0; kk < kb; ++kk)
+      for (std::int64_t c = cols; c < kNR; ++c) dst[kk * kNR + c] = 0.0f;
+  }
+}
+
+// ---- implicit im2col -------------------------------------------------------
+//
+// The column matrix of a convolution is never built. Its element (row r,
+// column q) is one float of the zero-padded input xp [N, C, Hp, Wp]:
+//   r = (ch*KH + kh)*KW + kw   ->  tap offset   ch*Hp*Wp + kh*Wp + kw
+//   q = (i*OH + oy)*OW + ox    ->  pixel offset i*C*Hp*Wp + oy*SH*Wp + ox*SW
+// and the element sits at xp[tap + pixel]. Padding reads the +0.0f that
+// im2col writes, so every packed panel holds exactly the floats the
+// materialized lowering would have.
+
+struct PaddedInput {
+  const float* data;
+  std::int64_t h, w;  ///< padded plane size
+};
+
+/// `x` with its zero border made explicit, in workspace memory (or `x`
+/// itself when the convolution has no padding).
+PaddedInput pad_input(const ConvGeometry& g, const float* x,
+                      std::int64_t batch, util::Workspace& ws) {
+  const std::int64_t hp = g.height + 2 * g.pad_h;
+  const std::int64_t wp = g.width + 2 * g.pad_w;
+  if (g.pad_h == 0 && g.pad_w == 0) return {x, hp, wp};
+  float* xp =
+      ws.alloc<float>(static_cast<std::size_t>(batch * g.channels * hp * wp));
+  for (std::int64_t plane = 0; plane < batch * g.channels; ++plane) {
+    const float* src = x + plane * g.height * g.width;
+    float* dst = xp + plane * hp * wp;
+    std::fill(dst, dst + g.pad_h * wp, 0.0f);
+    for (std::int64_t y = 0; y < g.height; ++y) {
+      float* row = dst + (g.pad_h + y) * wp;
+      std::fill(row, row + g.pad_w, 0.0f);
+      std::memcpy(row + g.pad_w, src + y * g.width, sizeof(float) * g.width);
+      std::fill(row + g.pad_w + g.width, row + wp, 0.0f);
+    }
+    std::fill(dst + (g.pad_h + g.height) * wp, dst + hp * wp, 0.0f);
+  }
+  return {xp, hp, wp};
+}
+
+/// Tap offsets of column-matrix rows [r0, r0 + count).
+void tap_offsets(const ConvGeometry& g, const PaddedInput& xp, std::int64_t r0,
+                 std::int64_t count, std::int64_t* off) {
+  const std::int64_t taps = g.kernel_h * g.kernel_w;
+  std::int64_t ch = r0 / taps;
+  std::int64_t kh = (r0 % taps) / g.kernel_w;
+  std::int64_t kw = r0 % g.kernel_w;
+  for (std::int64_t t = 0; t < count; ++t) {
+    off[t] = (ch * xp.h + kh) * xp.w + kw;
+    if (++kw < g.kernel_w) continue;
+    kw = 0;
+    if (++kh < g.kernel_h) continue;
+    kh = 0;
+    ++ch;
+  }
+}
+
+/// Pixel offsets of column-matrix columns [q0, q0 + count).
+void pixel_offsets(const ConvGeometry& g, const PaddedInput& xp,
+                   std::int64_t q0, std::int64_t count, std::int64_t* off) {
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  std::int64_t i = q0 / (oh * ow);
+  std::int64_t oy = (q0 % (oh * ow)) / ow;
+  std::int64_t ox = q0 % ow;
+  for (std::int64_t t = 0; t < count; ++t) {
+    off[t] = (i * g.channels * xp.h + oy * g.stride_h) * xp.w + ox * g.stride_w;
+    if (++ox < ow) continue;
+    ox = 0;
+    if (++oy < oh) continue;
+    oy = 0;
+    ++i;
+  }
+}
+
 /// MR x NR register tile over a kb-long packed panel pair. The fixed trip
 /// counts let the compiler keep all MR*NR accumulators in registers and emit
 /// wide FMAs for the c loop.
@@ -184,10 +305,15 @@ void sparse_row(std::int64_t k, std::int64_t n, Trans ta, const float* a,
   }
 }
 
-void gemm_dense(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                std::int64_t k, float alpha, const float* a, std::int64_t lda,
-                const float* b, std::int64_t ldb, float beta, float* c,
-                std::int64_t ldc) {
+/// The blocked dense driver. `pack_b(pc, kb, jc, nb, bp)` fills bp with
+/// op(B)[pc:pc+kb, jc:jc+nb] in pack_b_block's panel layout; which source it
+/// packs from (a stored matrix or a convolution input) is the only thing
+/// the two entry points differ in, so both share every slab boundary and
+/// every register tile.
+template <class PackB>
+void gemm_dense(Trans ta, std::int64_t m, std::int64_t n, std::int64_t k,
+                float alpha, const float* a, std::int64_t lda,
+                const PackB& pack_b, float beta, float* c, std::int64_t ldc) {
   util::Workspace& ws = util::Workspace::local();
   const bool parallel = (m * n * k) >= (std::int64_t{1} << 16);
   for (std::int64_t jc = 0; jc < n; jc += kNC) {
@@ -198,7 +324,7 @@ void gemm_dense(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
       const float beta_eff = (pc == 0) ? beta : 1.0f;
       util::Workspace::Scope pack_scope(ws);
       float* bp = ws.alloc<float>(static_cast<std::size_t>(kb * nb_pad));
-      pack_b_block(tb, b, ldb, pc, kb, jc, nb, bp);
+      pack_b(pc, kb, jc, nb, bp);
 
       const std::int64_t ic_blocks = (m + kMC - 1) / kMC;
       auto run_blocks = [&](std::int64_t blo, std::int64_t bhi) {
@@ -295,9 +421,44 @@ void gemm_raw(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
     gemm_sparse(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
                 ldc);
   } else {
-    gemm_dense(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
-               ldc);
+    const auto pack_b = [&](std::int64_t p0, std::int64_t kb, std::int64_t j0,
+                            std::int64_t nb, float* bp) {
+      pack_b_block(trans_b, b, ldb, p0, kb, j0, nb, bp);
+    };
+    gemm_dense(trans_a, m, n, k, alpha, a, lda, pack_b, beta, c, ldc);
   }
+}
+
+void gemm_conv_raw(Trans trans_a, Trans trans_b, std::int64_t m, float alpha,
+                   const float* a, std::int64_t lda, const ConvGeometry& g,
+                   const float* x, std::int64_t batch, float beta, float* c,
+                   std::int64_t ldc) {
+  const bool columns = trans_b == Trans::kNo;
+  const std::int64_t patch = g.patch_size();
+  const std::int64_t pixels = batch * g.out_h() * g.out_w();
+  const std::int64_t n = columns ? pixels : patch;
+  const std::int64_t k = columns ? patch : pixels;
+  if (m <= 0 || n <= 0) return;
+  SNNSEC_COUNTER_ADD("tensor.gemm.calls", 1);
+  SNNSEC_COUNTER_ADD("tensor.gemm.flops", 2 * m * n * k);
+  util::Workspace& ws = util::Workspace::local();
+  util::Workspace::Scope scope(ws);
+  const PaddedInput xp = pad_input(g, x, batch, ws);
+  // Runs inside gemm_dense's pack scope, so the tables die with the panel.
+  const auto pack_b = [&](std::int64_t p0, std::int64_t kb, std::int64_t j0,
+                          std::int64_t nb, float* bp) {
+    std::int64_t* k_off = ws.alloc<std::int64_t>(static_cast<std::size_t>(kb));
+    std::int64_t* n_off = ws.alloc<std::int64_t>(static_cast<std::size_t>(nb));
+    if (columns) {
+      tap_offsets(g, xp, p0, kb, k_off);
+      pixel_offsets(g, xp, j0, nb, n_off);
+    } else {
+      pixel_offsets(g, xp, p0, kb, k_off);
+      tap_offsets(g, xp, j0, nb, n_off);
+    }
+    pack_b_offsets(xp.data, k_off, kb, n_off, nb, bp);
+  };
+  gemm_dense(trans_a, m, n, k, alpha, a, lda, pack_b, beta, c, ldc);
 }
 
 // SNNSEC_HOT entry: every conv/fc lowers onto this call.

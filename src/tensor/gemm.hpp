@@ -1,5 +1,5 @@
-// Single-precision GEMM: the workhorse behind Linear and (via im2col)
-// Conv2d, forward and backward.
+// Single-precision GEMM: the workhorse behind Linear and (via an implicit
+// im2col) Conv2d, forward and backward.
 //
 // C = alpha * op(A) * op(B) + beta * C, with op in {identity, transpose}.
 //
@@ -38,6 +38,8 @@ namespace snnsec::tensor {
 
 enum class Trans { kNo, kYes };
 
+struct ConvGeometry;  // tensor/im2col.hpp
+
 /// How the caller declares op(A) to be populated. Resolved from the
 /// operand's role (layer kind + position), sticky for the call site's
 /// lifetime — see the header comment for why probing is forbidden.
@@ -67,6 +69,20 @@ void gemm_raw(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
               std::int64_t k, float alpha, const float* a, std::int64_t lda,
               const float* b, std::int64_t ldb, float beta, float* c,
               std::int64_t ldc, SparsityHint hint = SparsityHint::kDense);
+
+/// Implicit-im2col GEMM for convolution. The B operand is the
+/// [patch_size, batch*OH*OW] column matrix of the `batch` NCHW images at
+/// `x` under geometry `g` — but it is never materialized: each GEMM panel
+/// is packed straight from the (zero-padded) input. Results are
+/// bit-identical to building that matrix with im2col and calling gemm_raw
+/// on it, because the packed panels hold the same floats.
+///   trans_b = kNo  : C[m, batch*OHW] = alpha * op(A)[m, patch] * cols
+///   trans_b = kYes : C[m, patch]     = alpha * op(A)[m, batch*OHW] * colsᵀ
+/// each plus beta * C. A and C follow gemm_raw's conventions.
+void gemm_conv_raw(Trans trans_a, Trans trans_b, std::int64_t m, float alpha,
+                   const float* a, std::int64_t lda, const ConvGeometry& g,
+                   const float* x, std::int64_t batch, float beta, float* c,
+                   std::int64_t ldc);
 
 /// Offline/diagnostic sparsity probe: true when >= 60% of a strided sample
 /// (up to 256 elements) of op(A) is exactly zero. Sample positions are the

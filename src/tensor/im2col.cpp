@@ -6,7 +6,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.hpp"
 #include "util/checked.hpp"
 
 namespace snnsec::tensor {
@@ -43,47 +42,6 @@ void ConvGeometry::validate() const {
                                               << ")");
 }
 
-void im2col(const ConvGeometry& g, const float* image, float* columns) {
-  SNNSEC_TRACE_SCOPE("im2col");
-  im2col_ld(g, image, columns, g.out_h() * g.out_w(), 0);
-}
-
-void col2im(const ConvGeometry& g, const float* columns, float* image_grad) {
-  SNNSEC_TRACE_SCOPE("col2im");
-  col2im_ld(g, columns, image_grad, g.out_h() * g.out_w(), 0);
-}
-
-void im2col_ld(const ConvGeometry& g, const float* image, float* columns,
-               std::int64_t ld, std::int64_t col0) {
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  SNNSEC_DCHECK(ld >= oh * ow && col0 >= 0 && col0 + oh * ow <= ld,
-                "im2col_ld: window [" << col0 << ", " << col0 + oh * ow
-                                      << ") exceeds leading dim " << ld);
-  // Each kernel tap's valid output rectangle is computed once: the row is
-  // zeroed, then only the rectangle is copied — no per-element bounds test.
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < g.channels; ++c) {
-    const float* plane = image + c * g.height * g.width;
-    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-      const std::int64_t iy0 = kh - g.pad_h;  // input row at oy = 0
-      const ValidRange oys = valid_range(g.height, iy0, g.stride_h, oh);
-      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        const std::int64_t ix0 = kw - g.pad_w;  // input column at ox = 0
-        const ValidRange oxs = valid_range(g.width, ix0, g.stride_w, ow);
-        float* dst = columns + row * ld + col0;
-        std::fill(dst, dst + oh * ow, 0.0f);
-        for (std::int64_t oy = oys.lo; oy < oys.hi; ++oy) {
-          const float* src_row = plane + (oy * g.stride_h + iy0) * g.width;
-          float* out = dst + oy * ow;
-          for (std::int64_t ox = oxs.lo; ox < oxs.hi; ++ox)
-            out[ox] = src_row[ox * g.stride_w + ix0];
-        }
-      }
-    }
-  }
-}
-
 void col2im_ld(const ConvGeometry& g, const float* columns, float* image_grad,
                std::int64_t ld, std::int64_t col0) {
   const std::int64_t oh = g.out_h();
@@ -91,8 +49,9 @@ void col2im_ld(const ConvGeometry& g, const float* columns, float* image_grad,
   SNNSEC_DCHECK(ld >= oh * ow && col0 >= 0 && col0 + oh * ow <= ld,
                 "col2im_ld: window [" << col0 << ", " << col0 + oh * ow
                                       << ") exceeds leading dim " << ld);
-  // Same valid rectangles as im2col_ld. Accumulation runs tap, then oy,
-  // then ox ascending, as the per-element reference in the tests does.
+  // Each kernel tap's valid output rectangle is computed once, so there is
+  // no per-element bounds test. Accumulation runs tap, then oy, then ox
+  // ascending, as the per-element reference in the tests does.
   std::int64_t row = 0;
   for (std::int64_t c = 0; c < g.channels; ++c) {
     float* plane = image_grad + c * g.height * g.width;

@@ -1,10 +1,12 @@
-// im2col / col2im: lower 2-D convolution to GEMM.
+// Convolution geometry and the im2col lowering's adjoint.
 //
 // Layout conventions (all row-major):
 //   image  : [C, H, W]                        (single sample)
 //   column : [C*KH*KW, OH*OW]
-// so that conv output = weight_matrix [Cout, C*KH*KW] x column.
-// col2im is the exact adjoint (scatter-add), used by conv backward.
+// so that conv output = weight_matrix [Cout, C*KH*KW] x column. The forward
+// column matrix is never materialized: gemm_conv_raw (gemm.hpp) packs its
+// GEMM panels straight from the image. col2im_ld is the exact adjoint
+// (scatter-add), used by conv backward for the input gradient.
 #pragma once
 
 #include <cstdint>
@@ -38,22 +40,12 @@ struct ConvGeometry {
   void validate() const;
 };
 
-/// Expand `image` ([C,H,W] flattened, length C*H*W) into `columns`
-/// ([patch_size, OH*OW] flattened). `columns` must be pre-sized; padding
-/// contributes zeros.
-void im2col(const ConvGeometry& g, const float* image, float* columns);
-
-/// Adjoint of im2col: scatter-add `columns` back into `image_grad`
-/// (length C*H*W). Caller zeroes image_grad beforehand if required.
-void col2im(const ConvGeometry& g, const float* columns, float* image_grad);
-
-/// Strided variants for batched lowering: the column matrix has `ld` total
-/// columns (ld >= OH*OW) and this sample's block starts at column `col0`,
-/// i.e. element (row, j) lives at columns[row * ld + col0 + j]. Used to
-/// build one [patch_size, N*OH*OW] matrix for a whole batch so conv becomes
-/// a single large GEMM.
-void im2col_ld(const ConvGeometry& g, const float* image, float* columns,
-               std::int64_t ld, std::int64_t col0);
+/// Adjoint of the im2col lowering: scatter-add a [patch_size, *] column
+/// matrix back into `image_grad` (length C*H*W), used by conv backward.
+/// The column matrix has `ld` total columns (ld >= OH*OW) and this sample's
+/// block starts at column `col0`, i.e. element (row, j) lives at
+/// columns[row * ld + col0 + j], so one [patch_size, N*OH*OW] matrix serves
+/// a whole batch. The caller zeroes image_grad beforehand if required.
 void col2im_ld(const ConvGeometry& g, const float* columns, float* image_grad,
                std::int64_t ld, std::int64_t col0);
 

@@ -5,7 +5,7 @@
 // These macros form a second tier that compiles to *nothing* unless the
 // build sets SNNSEC_CHECKED (CMake option of the same name): CI runs the
 // full test suite once with the checked tier live, which is where
-// off-by-one index arithmetic (im2col edges, pooling windows, flat-index
+// off-by-one index arithmetic (col2im edges, pooling windows, flat-index
 // walks) dies loudly instead of reading garbage.
 //
 //   SNNSEC_DCHECK(cond, msg)       — SNNSEC_CHECK, checked builds only.

@@ -1,6 +1,6 @@
 // Workspace: a per-thread, grow-only bump arena for hot-path scratch.
 //
-// The compute kernels (GEMM pack buffers, conv im2col columns, LIF state
+// The compute kernels (GEMM pack buffers, padded conv inputs, LIF state
 // vectors) need large scratch arrays on every call. Allocating them from the
 // heap each time costs a malloc/free pair per op — measurable at attack-sweep
 // scale where a single PGD run is millions of kernel invocations. The

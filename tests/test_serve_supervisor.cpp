@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <cmath>
 #include <filesystem>
 #include <limits>
@@ -125,6 +127,33 @@ TEST(SupervisorTest, WeightsDigestDetectsSingleFloatChange) {
   const std::uint64_t clean = Supervisor::weights_digest(params);
   params[0]->value.data()[0] += 1.0f;
   EXPECT_NE(Supervisor::weights_digest(params), clean);
+  params[0]->value.data()[0] -= 1.0f;
+  ASSERT_EQ(Supervisor::weights_digest(params), clean);
+
+  // One flipped bit at every float position of a lane cycle (four lanes of
+  // two-float words), at both ends of each float word, and in the last
+  // float of every parameter, which the ragged tail paths cover.
+  const auto flip_changes_digest = [&](float* f, int bit) {
+    std::uint32_t word = 0;
+    std::memcpy(&word, f, sizeof(word));
+    word ^= std::uint32_t{1} << bit;
+    std::memcpy(f, &word, sizeof(word));
+    const bool moved = Supervisor::weights_digest(params) != clean;
+    word ^= std::uint32_t{1} << bit;
+    std::memcpy(f, &word, sizeof(word));
+    return moved;
+  };
+  ASSERT_GE(params[0]->value.numel(), 8);
+  for (int pos = 0; pos < 8; ++pos)
+    for (const int bit : {0, 31})
+      EXPECT_TRUE(flip_changes_digest(params[0]->value.data() + pos, bit))
+          << "float " << pos << " bit " << bit;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    Tensor& v = params[i]->value;
+    EXPECT_TRUE(flip_changes_digest(v.data() + v.numel() - 1, 0))
+        << "last float of parameter " << i;
+  }
+  EXPECT_EQ(Supervisor::weights_digest(params), clean);
 }
 
 TEST(SupervisorTest, GovernorRampsToFloorUnderPressure) {

@@ -14,6 +14,7 @@
 #include <new>
 #include <vector>
 
+#include "im2col_reference.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "tensor/gemm.hpp"
@@ -319,7 +320,8 @@ TEST(BuildConvEvents, MatchesIm2rowLowering) {
 
   std::vector<float> cols(static_cast<std::size_t>(patch * ohw));
   for (std::int64_t i = 0; i < batch; ++i) {
-    im2col(g, x.data() + i * g.channels * g.height * g.width, cols.data());
+    testutil::im2col(g, x.data() + i * g.channels * g.height * g.width,
+                     cols.data());
     for (std::int64_t r = 0; r < ohw; ++r) {
       std::vector<float> dense(static_cast<std::size_t>(patch), 0.0f);
       const std::int64_t row = i * ohw + r;

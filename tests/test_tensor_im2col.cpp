@@ -1,15 +1,24 @@
-// im2col/col2im geometry, correctness, and adjointness.
+// Conv geometry, the im2col lowering and its col2im adjoint, and the
+// implicit-im2col GEMM that packs the lowering straight from the input.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "im2col_reference.hpp"
+#include "nn/conv2d.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "util/rng.hpp"
 
 namespace snnsec::tensor {
 namespace {
+
+using testutil::im2col;
+using testutil::im2col_batch;
 
 ConvGeometry make_geom(std::int64_t c, std::int64_t h, std::int64_t w,
                        std::int64_t k, std::int64_t stride, std::int64_t pad) {
@@ -123,55 +132,12 @@ TEST(Col2im, IsExactAdjointOfIm2col) {
     lhs += static_cast<double>(col[static_cast<std::size_t>(i)]) * y[i];
 
   std::vector<float> back(static_cast<std::size_t>(img_n), 0.0f);
-  col2im(g, y.data(), back.data());
+  col2im_ld(g, y.data(), back.data(), g.out_h() * g.out_w(), 0);
   double rhs = 0.0;
   for (std::int64_t i = 0; i < img_n; ++i)
     rhs += static_cast<double>(back[static_cast<std::size_t>(i)]) * x[i];
 
   EXPECT_NEAR(lhs, rhs, 1e-2);
-}
-
-TEST(Im2colLd, StridedLayoutMatchesContiguousPerSample) {
-  util::Rng rng(13);
-  const auto g = make_geom(2, 4, 4, 3, 1, 1);
-  const std::int64_t ohw = g.out_h() * g.out_w();
-  const std::int64_t img_n = g.channels * g.height * g.width;
-  const Tensor imgs = Tensor::randn(Shape{3 * img_n}, rng);  // 3 samples
-
-  // Batched: one wide matrix.
-  Tensor wide(Shape{g.patch_size(), 3 * ohw});
-  for (std::int64_t i = 0; i < 3; ++i)
-    im2col_ld(g, imgs.data() + i * img_n, wide.data(), 3 * ohw, i * ohw);
-
-  // Reference: per-sample contiguous.
-  for (std::int64_t i = 0; i < 3; ++i) {
-    Tensor single(Shape{g.patch_size(), ohw});
-    im2col(g, imgs.data() + i * img_n, single.data());
-    for (std::int64_t r = 0; r < g.patch_size(); ++r)
-      for (std::int64_t j = 0; j < ohw; ++j)
-        EXPECT_FLOAT_EQ(wide.at({r, i * ohw + j}), single.at({r, j}));
-  }
-}
-
-/// Per-element im2col: bounds-tested at every (row, oy, ox).
-void naive_im2col_ld(const ConvGeometry& g, const float* image, float* columns,
-                     std::int64_t ld, std::int64_t col0) {
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  for (std::int64_t c = 0; c < g.channels; ++c)
-    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
-      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
-        const std::int64_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
-        for (std::int64_t oy = 0; oy < oh; ++oy)
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t iy = oy * g.stride_h + kh - g.pad_h;
-            const std::int64_t ix = ox * g.stride_w + kw - g.pad_w;
-            const bool inside =
-                iy >= 0 && iy < g.height && ix >= 0 && ix < g.width;
-            columns[row * ld + col0 + oy * ow + ox] =
-                inside ? image[(c * g.height + iy) * g.width + ix] : 0.0f;
-          }
-      }
 }
 
 /// Per-element col2im in the same (row, oy, ox) accumulation order.
@@ -194,11 +160,11 @@ void naive_col2im_ld(const ConvGeometry& g, const float* columns,
       }
 }
 
-// im2col_ld and col2im_ld compute each kernel column's valid output range
-// once instead of testing bounds per element; they must equal the
-// per-element references exactly, including the padded edges, stride 2,
-// rectangular inputs and inputs narrower (or shorter) than the kernel.
-TEST(Im2colLd, MatchesPerElementReference) {
+// col2im_ld computes each kernel column's valid output range once instead
+// of testing bounds per element; it must equal the per-element reference
+// exactly, including the padded edges, stride 2, rectangular inputs and
+// inputs narrower (or shorter) than the kernel.
+TEST(Col2imLd, MatchesPerElementReference) {
   struct Case {
     std::int64_t c, h, w, kh, kw, stride, pad;
   };
@@ -228,17 +194,6 @@ TEST(Im2colLd, MatchesPerElementReference) {
     const std::int64_t ld = 2 * ohw + 3;
     const std::int64_t col0 = ohw + 3;
     util::Rng rng(seed++);
-    const Tensor img = Tensor::randn(Shape{cs.c * cs.h * cs.w}, rng);
-    std::vector<float> got(static_cast<std::size_t>(g.patch_size() * ld),
-                           7.0f);
-    std::vector<float> want = got;
-    im2col_ld(g, img.data(), got.data(), ld, col0);
-    naive_im2col_ld(g, img.data(), want.data(), ld, col0);
-    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
-              0)
-        << "im2col_ld c" << cs.c << " " << cs.h << "x" << cs.w << " k"
-        << cs.kh << "x" << cs.kw << " s" << cs.stride << " p" << cs.pad;
-
     const Tensor cols = Tensor::randn(Shape{g.patch_size() * ld}, rng);
     const Tensor grad0 = Tensor::randn(Shape{cs.c * cs.h * cs.w}, rng);
     Tensor grad_got = grad0.clone();
@@ -252,6 +207,179 @@ TEST(Im2colLd, MatchesPerElementReference) {
         << "col2im_ld c" << cs.c << " " << cs.h << "x" << cs.w << " k"
         << cs.kh << "x" << cs.kw << " s" << cs.stride << " p" << cs.pad;
   }
+}
+
+// ---- implicit im2col --------------------------------------------------------
+
+struct ConvCase {
+  std::int64_t batch, c, h, w, kh, kw, stride, pad, m;
+};
+
+std::string describe(const ConvCase& cs) {
+  std::ostringstream oss;
+  oss << "n" << cs.batch << " c" << cs.c << " " << cs.h << "x" << cs.w
+      << " k" << cs.kh << "x" << cs.kw << " s" << cs.stride << " p" << cs.pad
+      << " m" << cs.m;
+  return oss.str();
+}
+
+ConvGeometry geometry_of(const ConvCase& cs) {
+  ConvGeometry g;
+  g.channels = cs.c;
+  g.height = cs.h;
+  g.width = cs.w;
+  g.kernel_h = cs.kh;
+  g.kernel_w = cs.kw;
+  g.stride_h = g.stride_w = cs.stride;
+  g.pad_h = g.pad_w = cs.pad;
+  g.validate();
+  return g;
+}
+
+/// Stride 1 and 2, padding 0-2, kernels wider than the input, a patch
+/// that crosses the 256-deep K slab (12 * 5 * 5 = 300), single samples and
+/// batches, pixel counts off the 8-column panel grid and past the 512-wide
+/// N block, and an M large enough to split over row blocks.
+std::vector<ConvCase> conv_cases() {
+  std::vector<ConvCase> cases;
+  for (const std::int64_t stride : {1, 2})
+    for (const std::int64_t pad : {0, 1, 2}) {
+      cases.push_back({1, 2, 7, 9, 3, 3, stride, pad, 5});
+      cases.push_back({3, 1, 6, 5, 5, 2, stride, pad, 3});
+      cases.push_back({2, 3, 8, 8, 5, 5, stride, pad, 8});
+      if (pad > 0) {
+        cases.push_back({2, 2, 2, 2, 3, 3, stride, pad, 4});  // kernel > input
+        cases.push_back({3, 1, 5, 1, 2, 3, stride, pad, 2});  // one column
+      }
+    }
+  cases.push_back({1, 12, 6, 6, 5, 5, 1, 2, 16});   // patch 300 > KC
+  cases.push_back({3, 12, 7, 5, 5, 5, 1, 1, 7});    // ... and odd pixels
+  cases.push_back({3, 4, 16, 16, 3, 3, 1, 1, 16});  // 768 pixels > NC
+  cases.push_back({2, 3, 9, 9, 3, 3, 1, 1, 300});   // 3 row blocks of 128
+  return cases;
+}
+
+/// Random operand with a NaN and both infinities planted, as fault
+/// injection can leave in a weight tensor.
+Tensor faulty_randn(const Shape& shape, util::Rng& rng) {
+  Tensor t = Tensor::randn(shape, rng);
+  const std::int64_t n = t.numel();
+  t[0] = std::numeric_limits<float>::quiet_NaN();
+  t[n / 2] = std::numeric_limits<float>::infinity();
+  t[n - 1] = -std::numeric_limits<float>::infinity();
+  return t;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// The forward product W x columns: packing from the input must give the
+// same bits as materializing the column matrix and calling gemm_raw.
+TEST(ImplicitIm2col, ForwardMatchesMaterializedColumns) {
+  std::uint64_t seed = 100;
+  for (const ConvCase& cs : conv_cases()) {
+    const ConvGeometry g = geometry_of(cs);
+    const std::int64_t patch = g.patch_size();
+    const std::int64_t pixels = cs.batch * g.out_h() * g.out_w();
+    util::Rng rng(seed++);
+    const Tensor x = Tensor::randn(Shape{cs.batch, cs.c, cs.h, cs.w}, rng);
+    const Tensor w = faulty_randn(Shape{cs.m, patch}, rng);
+    Tensor cols(Shape{patch, pixels});
+    im2col_batch(g, x.data(), cs.batch, cols.data());
+
+    for (const float beta : {0.0f, 1.0f}) {
+      const Tensor c0 = Tensor::randn(Shape{cs.m, pixels}, rng);
+      Tensor want = c0.clone();
+      Tensor got = c0.clone();
+      gemm_raw(Trans::kNo, Trans::kNo, cs.m, pixels, patch, 1.0f, w.data(),
+               patch, cols.data(), pixels, beta, want.data(), pixels);
+      gemm_conv_raw(Trans::kNo, Trans::kNo, cs.m, 1.0f, w.data(), patch, g,
+                    x.data(), cs.batch, beta, got.data(), pixels);
+      EXPECT_TRUE(same_bits(got, want)) << describe(cs) << " beta " << beta;
+    }
+  }
+}
+
+// The weight-gradient product G x columnsᵀ (columns packed transposed,
+// the pixel axis as K): same bits as the materialized reference.
+TEST(ImplicitIm2col, WeightGradMatchesMaterializedColumns) {
+  std::uint64_t seed = 200;
+  for (const ConvCase& cs : conv_cases()) {
+    const ConvGeometry g = geometry_of(cs);
+    const std::int64_t patch = g.patch_size();
+    const std::int64_t pixels = cs.batch * g.out_h() * g.out_w();
+    util::Rng rng(seed++);
+    const Tensor x = Tensor::randn(Shape{cs.batch, cs.c, cs.h, cs.w}, rng);
+    const Tensor grad = faulty_randn(Shape{cs.m, pixels}, rng);
+    Tensor cols(Shape{patch, pixels});
+    im2col_batch(g, x.data(), cs.batch, cols.data());
+
+    const Tensor dw0 = Tensor::randn(Shape{cs.m, patch}, rng);
+    Tensor want = dw0.clone();
+    Tensor got = dw0.clone();
+    gemm_raw(Trans::kNo, Trans::kYes, cs.m, patch, pixels, 1.0f, grad.data(),
+             pixels, cols.data(), pixels, 1.0f, want.data(), patch);
+    gemm_conv_raw(Trans::kNo, Trans::kYes, cs.m, 1.0f, grad.data(), pixels,
+                  g, x.data(), cs.batch, 1.0f, got.data(), patch);
+    EXPECT_TRUE(same_bits(got, want)) << describe(cs);
+  }
+}
+
+// Conv2d end to end in every mode: the forward output (bias added after
+// the product) and, in train mode, the weight gradient packed from the
+// cached input equal the materialized lowering bit for bit.
+TEST(ImplicitIm2col, Conv2dMatchesMaterializedLowering) {
+  const nn::Conv2dSpec spec{12, 6, 5, 1, 2};
+  util::Rng rng(300);
+  nn::Conv2d conv(spec, rng);
+  const std::int64_t n = 3, h = 7, w = 6;
+  const Tensor x = Tensor::randn(Shape{n, spec.in_channels, h, w}, rng);
+  ConvGeometry g;
+  g.channels = spec.in_channels;
+  g.height = h;
+  g.width = w;
+  g.kernel_h = g.kernel_w = spec.kernel;
+  g.pad_h = g.pad_w = spec.padding;
+  g.validate();
+  const std::int64_t patch = g.patch_size();
+  const std::int64_t ohw = g.out_h() * g.out_w();
+  const std::int64_t cout = spec.out_channels;
+  Tensor cols(Shape{patch, n * ohw});
+  im2col_batch(g, x.data(), n, cols.data());
+
+  Tensor raw(Shape{cout, n * ohw});
+  gemm_raw(Trans::kNo, Trans::kNo, cout, n * ohw, patch, 1.0f,
+           conv.weight().value.data(), patch, cols.data(), n * ohw, 0.0f,
+           raw.data(), n * ohw);
+  Tensor want(Shape{n, cout, g.out_h(), g.out_w()});
+  for (std::int64_t co = 0; co < cout; ++co)
+    for (std::int64_t i = 0; i < n; ++i)
+      for (std::int64_t j = 0; j < ohw; ++j)
+        want.data()[(i * cout + co) * ohw + j] =
+            raw.data()[co * n * ohw + i * ohw + j] + conv.bias().value[co];
+  for (const nn::Mode mode : {nn::Mode::kEval, nn::Mode::kAttack,
+                              nn::Mode::kTrain})
+    EXPECT_TRUE(same_bits(conv.forward(x, mode), want))
+        << "mode " << static_cast<int>(mode);
+
+  // Train mode ran last; its backward's dW is G x columnsᵀ with G the
+  // upstream gradient in [Cout, N*OHW] order.
+  const Tensor gy = Tensor::randn(want.shape(), rng);
+  Tensor gm(Shape{cout, n * ohw});
+  for (std::int64_t co = 0; co < cout; ++co)
+    for (std::int64_t i = 0; i < n; ++i)
+      for (std::int64_t j = 0; j < ohw; ++j)
+        gm.data()[co * n * ohw + i * ohw + j] =
+            gy.data()[(i * cout + co) * ohw + j];
+  conv.weight().grad.fill(0.0f);
+  Tensor dw_want(Shape{cout, patch});
+  gemm_raw(Trans::kNo, Trans::kYes, cout, patch, n * ohw, 1.0f, gm.data(),
+           n * ohw, cols.data(), n * ohw, 1.0f, dw_want.data(), patch);
+  conv.backward(gy);
+  EXPECT_TRUE(same_bits(conv.weight().grad, dw_want));
 }
 
 }  // namespace

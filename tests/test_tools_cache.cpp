@@ -18,7 +18,7 @@
 #include "source_view.hpp"
 
 using snnsec::lint::FileCache;
-using snnsec::lint::fnv1a;
+using snnsec::lint::content_digest;
 
 namespace {
 
@@ -36,7 +36,7 @@ struct PathGuard {
 
 TEST(FileCache, LookupMissesThenHitsAndCountsBoth) {
   FileCache cache("", "v1");  // empty path: in-memory only
-  const std::uint64_t d = fnv1a("contents");
+  const std::uint64_t d = content_digest("contents");
   EXPECT_FALSE(cache.lookup("a.cpp", d).has_value());
   cache.store("a.cpp", d, "payload");
   const auto hit = cache.lookup("a.cpp", d);
@@ -48,22 +48,22 @@ TEST(FileCache, LookupMissesThenHitsAndCountsBoth) {
 
 TEST(FileCache, DigestChangeInvalidatesEntry) {
   FileCache cache("", "v1");
-  cache.store("a.cpp", fnv1a("old"), "stale");
-  EXPECT_FALSE(cache.lookup("a.cpp", fnv1a("new")).has_value());
+  cache.store("a.cpp", content_digest("old"), "stale");
+  EXPECT_FALSE(cache.lookup("a.cpp", content_digest("new")).has_value());
   // Storing under the new digest replaces the stale entry, not adds to it.
-  cache.store("a.cpp", fnv1a("new"), "fresh");
+  cache.store("a.cpp", content_digest("new"), "fresh");
   EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(*cache.lookup("a.cpp", fnv1a("new")), "fresh");
+  EXPECT_EQ(*cache.lookup("a.cpp", content_digest("new")), "fresh");
 }
 
 TEST(FileCache, RoundTripsThroughDisk) {
   PathGuard guard{temp_cache_path("roundtrip")};
-  const std::uint64_t d = fnv1a("body");
+  const std::uint64_t d = content_digest("body");
   {
     FileCache cache(guard.path, "v1");
     // Payloads are opaque blobs: newlines and separators must survive.
     cache.store("dir/a.cpp", d, "line1\nline2\x1f tail");
-    cache.store("dir/b.cpp", fnv1a("other"), "");
+    cache.store("dir/b.cpp", content_digest("other"), "");
     ASSERT_TRUE(cache.save());
   }
   FileCache reloaded(guard.path, "v1");
@@ -77,12 +77,28 @@ TEST(FileCache, VersionBumpDiscardsWholeCache) {
   PathGuard guard{temp_cache_path("version")};
   {
     FileCache cache(guard.path, "rules-v1");
-    cache.store("a.cpp", fnv1a("body"), "payload");
+    cache.store("a.cpp", content_digest("body"), "payload");
     ASSERT_TRUE(cache.save());
   }
   FileCache reloaded(guard.path, "rules-v2");
   EXPECT_EQ(reloaded.entries(), 0u);
-  EXPECT_FALSE(reloaded.lookup("a.cpp", fnv1a("body")).has_value());
+  EXPECT_FALSE(reloaded.lookup("a.cpp", content_digest("body")).has_value());
+}
+
+// The digest is the cache key, so a one-byte edit anywhere — in a lane's
+// word, in the ragged tail, or a trailing NUL that pads to the same words —
+// must change it.
+TEST(FileCache, ContentDigestSeesEveryByteAndTheLength) {
+  std::string body;
+  for (int i = 0; i < 77; ++i) body += static_cast<char>('a' + i % 26);
+  const std::uint64_t d = content_digest(body);
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    std::string edited = body;
+    edited[i] = static_cast<char>(edited[i] ^ 0x40);
+    EXPECT_NE(content_digest(edited), d) << "byte " << i;
+  }
+  EXPECT_NE(content_digest(body + '\0'), d);
+  EXPECT_NE(content_digest(""), content_digest(std::string(1, '\0')));
 }
 
 TEST(FileCache, EmptyPathIsANoOpCache) {
@@ -98,7 +114,7 @@ TEST(FileCache, EmptyPathIsANoOpCache) {
 // noise; the loop below mirrors the snnsec_lint main-loop cache protocol.
 TEST(FileCache, WarmRerunIsUnderTenPercentOfCold) {
   // Short lines on purpose: a warm pass still pays the content digest
-  // (per byte) while a cold pass pays the linter (per line), so dense
+  // (per 8-byte word) while a cold pass pays the linter (per line), so dense
   // short-line files give the honest worst case for the warm/cold ratio.
   std::vector<std::pair<std::string, std::string>> files;
   std::string body;
@@ -122,7 +138,7 @@ TEST(FileCache, WarmRerunIsUnderTenPercentOfCold) {
     const double t0 = thread_cpu_s();
     std::size_t linted = 0;
     for (const auto& [path, src] : files) {
-      const std::uint64_t digest = fnv1a(src);
+      const std::uint64_t digest = content_digest(src);
       if (cache.lookup(path, digest).has_value()) continue;
       const auto r = snnsec::lint::lint_source(path, src);
       cache.store(path, digest, std::to_string(r.findings.size()));

@@ -1109,7 +1109,7 @@ FileModel extract_model(const std::string& path, const std::string& content) {
   return Extractor(path, view).run();
 }
 
-std::string_view analyze_cache_version() { return "analyze-v1"; }
+std::string_view analyze_cache_version() { return "analyze-v2"; }
 
 std::string serialize_model(const FileModel& model) {
   std::string out;

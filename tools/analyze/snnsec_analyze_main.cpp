@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
       std::ostringstream buf;
       buf << in.rdbuf();
       const std::string content = buf.str();
-      const std::uint64_t digest = snnsec::lint::fnv1a(content);
+      const std::uint64_t digest = snnsec::lint::content_digest(content);
       FileModel model;
       bool cached = false;
       if (const auto payload = cache.lookup(path, digest))

@@ -456,7 +456,7 @@ bool lintable_file(std::string_view path) {
 // which cannot appear in rule IDs and never appears in the messages the
 // rules emit). First field tags the record: F = finding, S = suppressed.
 
-std::string_view lint_cache_version() { return "lint-v1"; }
+std::string_view lint_cache_version() { return "lint-v2"; }
 
 namespace {
 

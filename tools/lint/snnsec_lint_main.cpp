@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   char reg_hex[17];
   std::snprintf(reg_hex, sizeof reg_hex, "%016llx",
                 static_cast<unsigned long long>(
-                    snnsec::lint::fnv1a(opts.registry_source)));
+                    snnsec::lint::content_digest(opts.registry_source)));
   snnsec::lint::FileCache cache(
       cache_path, std::string(snnsec::lint::lint_cache_version()) + "+" +
                       reg_hex);
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
       std::ostringstream buf;
       buf << in.rdbuf();
       const std::string content = buf.str();
-      const std::uint64_t digest = snnsec::lint::fnv1a(content);
+      const std::uint64_t digest = snnsec::lint::content_digest(content);
       LintResult res;
       bool cached = false;
       if (const auto payload = cache.lookup(path, digest)) {

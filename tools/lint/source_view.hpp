@@ -56,7 +56,9 @@ std::vector<Suppression> parse_suppressions(const std::string& comment);
 /// by a justified NOLINT on the line or NOLINTNEXTLINE on the line before.
 bool suppressed_at(const SourceView& view, int line, const std::string& rule);
 
-/// FNV-1a 64-bit digest, the cache key for file contents.
-std::uint64_t fnv1a(std::string_view s);
+/// 64-bit digest of file contents, the cache key: FNV-1a over 8-byte words
+/// in parallel lanes, so a warm cache pass costs little beside a cold lint.
+/// Any single changed word or byte changes it.
+std::uint64_t content_digest(std::string_view s);
 
 }  // namespace snnsec::lint
