@@ -326,6 +326,24 @@ int run(int argc, char** argv) {
     results.push_back(r);
   }
 
+  // ---- Attack-mode conv backward at the pgd_attack conv1 shape: 1 -> 3,
+  // 5x5, pad 2 on 16x16 inputs, batch 2 x T 24 — the input gradient every
+  // PGD step differentiates through (own rng, so the rows below keep their
+  // data).
+  {
+    util::Rng brng(9);
+    nn::Conv2d conv_bw(nn::Conv2dSpec{1, 3, 5, 1, 2}, brng);
+    const Tensor bx = Tensor::randn(Shape{48, 1, 16, 16}, brng);
+    const Tensor bg = Tensor::randn(Shape{48, 3, 16, 16}, brng);
+    conv_bw.forward(bx, nn::Mode::kAttack);
+    Result r;
+    r.name = "conv2d_backward_attack";
+    r.reps = reps;
+    r.ns_op = median_ns(reps, warmup,
+                        [&] { Tensor dx = conv_bw.backward(bg); });
+    results.push_back(r);
+  }
+
   // ---- Zero-alloc assertion: after warm-up, a Conv2d::forward_into call
   // must not touch the heap at all (workspace arena + reused output and
   // input-cache buffers) in any mode. Counted over several calls to catch

@@ -89,8 +89,8 @@ void Conv2d::resolve_kernel() {
 /// bias + reorder into [N, Cout, OH, OW]. The transposed formulation is
 /// what moves the spike sparsity to the operand the kernel walks; the
 /// classic im2col lowering leaves it in B where no row skip can see it,
-/// and materializing per-patch event lists (build_conv_events) would
-/// duplicate every spike up to KH*KW-fold.
+/// and materializing per-patch event lists (the test reference's
+/// formulation) would duplicate every spike up to KH*KW-fold.
 void Conv2d::forward_events(const Tensor& x, Tensor& y,
                             const ConvGeometry& g) {
   const std::int64_t n = x.dim(0);
@@ -205,7 +205,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::int64_t oh = g.out_h();
   const std::int64_t ow = g.out_w();
   const std::int64_t ohw = oh * ow;
-  const std::int64_t image_size = g.channels * g.height * g.width;
   SNNSEC_CHECK(grad_out.ndim() == 4 && grad_out.dim(0) == n &&
                    grad_out.dim(1) == spec_.out_channels &&
                    grad_out.dim(2) == oh && grad_out.dim(3) == ow,
@@ -221,53 +220,48 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   if (param_grads)
     SNNSEC_ASSERT_SHAPE(cached_input_,
                         Shape{n, g.channels, g.height, g.width});
-  util::Workspace& ws = util::Workspace::local();
-  util::Workspace::Scope scope(ws);
-
-  // Fused pass, parallel over output channels: reorder grad to GEMM layout
-  // G [Cout, N*OHW] and, in train mode, accumulate the per-channel bias
-  // gradient while the rows are hot instead of re-reading them serially.
-  float* pm = ws.alloc<float>(static_cast<std::size_t>(cout * n * ohw));
-  {
-    SNNSEC_TRACE_SCOPE("conv.grad_reorder");
-    const float* pg = grad_out.data();
-    float* pb = has_bias_ && param_grads ? bias_.grad.data() : nullptr;
-    util::parallel_for_chunked(0, cout, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t co = lo; co < hi; ++co) {
-        double bias_acc = 0.0;
-        float* dst = pm + co * (n * ohw);
-        for (std::int64_t i = 0; i < n; ++i) {
-          const float* src = pg + (i * cout + co) * ohw;
-          std::copy(src, src + ohw, dst + i * ohw);
-          if (pb)
-            for (std::int64_t j = 0; j < ohw; ++j) bias_acc += src[j];
+  // Train only: reorder grad to GEMM layout G [Cout, N*OHW] for the weight
+  // gradient, accumulating the per-channel bias gradient while the rows
+  // are hot, parallel over output channels. Then dW += G x columns^T :
+  // [Cout, patch], with columns^T packed from the cached input. op(A) is
+  // the upstream gradient — dense by role (surrogate gradients are
+  // real-valued, not spikes).
+  if (param_grads) {
+    util::Workspace& ws = util::Workspace::local();
+    util::Workspace::Scope scope(ws);
+    float* pm = ws.alloc<float>(static_cast<std::size_t>(cout * n * ohw));
+    {
+      SNNSEC_TRACE_SCOPE("conv.grad_reorder");
+      const float* pg = grad_out.data();
+      float* pb = has_bias_ ? bias_.grad.data() : nullptr;
+      util::parallel_for_chunked(0, cout, [&](std::int64_t lo,
+                                              std::int64_t hi) {
+        for (std::int64_t co = lo; co < hi; ++co) {
+          double bias_acc = 0.0;
+          float* dst = pm + co * (n * ohw);
+          for (std::int64_t i = 0; i < n; ++i) {
+            const float* src = pg + (i * cout + co) * ohw;
+            std::copy(src, src + ohw, dst + i * ohw);
+            if (pb)
+              for (std::int64_t j = 0; j < ohw; ++j) bias_acc += src[j];
+          }
+          if (pb) pb[co] += static_cast<float>(bias_acc);
         }
-        if (pb) pb[co] += static_cast<float>(bias_acc);
-      }
-    });
+      });
+    }
+    tensor::gemm_conv_raw(Trans::kNo, Trans::kYes, cout, 1.0f, pm, n * ohw,
+                          g, cached_input_.data(), n, 1.0f,
+                          weight_.grad.data(), patch);
   }
 
-  // dW += G x columns^T : [Cout, patch], train only, with columns^T packed
-  // from the cached input. op(A) is the upstream gradient — dense by role
-  // (surrogate gradients are real-valued, not spikes).
-  if (param_grads)
-    tensor::gemm_conv_raw(Trans::kNo, Trans::kYes, cout, 1.0f, pm, n * ohw, g,
-                          cached_input_.data(), n, 1.0f, weight_.grad.data(),
-                          patch);
-
-  // dColumns = W^T x G : [patch, N*OHW]; then col2im per sample. op(A) is
-  // the weight matrix — dense by role regardless of the input hint.
-  float* pdcol = ws.alloc<float>(static_cast<std::size_t>(patch * n * ohw));
-  tensor::gemm_raw(Trans::kYes, Trans::kNo, patch, n * ohw, cout, 1.0f,
-                   weight_.value.data(), patch, pm, n * ohw, 0.0f, pdcol,
-                   n * ohw, tensor::SparsityHint::kDense);
+  // dx = col2im(W^T x G), computed per sample with each sample's G read in
+  // place from grad_out as [Cout, OHW] — no column matrix, bit-identical to
+  // the transposed GEMM plus col2im (tensor::conv_input_grad).
   Tensor dx(Shape{n, g.channels, g.height, g.width});
   {
-    SNNSEC_TRACE_SCOPE("conv.col2im");
-    float* px = dx.data();
-    util::parallel_for(0, n, [&](std::int64_t i) {
-      tensor::col2im_ld(g, pdcol, px + i * image_size, n * ohw, i * ohw);
-    });
+    SNNSEC_TRACE_SCOPE("conv.input_grad");
+    tensor::conv_input_grad(g, weight_.value.data(), cout, grad_out.data(), n,
+                            dx.data());
   }
   return dx;
 }

@@ -11,10 +11,11 @@
 // matrix is ever built — then a fused bias-add scatters the rows back into
 // batch order. Eval mode may instead resolve to the event path (spike
 // inputs, conv_events). A train backward packs columnsᵀ from a cached copy
-// of the input for the weight gradient; every backward runs the transposed
-// GEMM Wᵀ·G + col2im for the input gradient — the input gradient is what
-// white-box attacks differentiate through, and an attack backward computes
-// nothing else.
+// of the input for the weight gradient; every backward computes the input
+// gradient col2im(Wᵀ·G) per sample straight into the image, reading the
+// upstream gradient in place (tensor::conv_input_grad, no column matrix)
+// — the input gradient is what white-box attacks differentiate through,
+// and an attack backward computes nothing else.
 #pragma once
 
 #include "nn/layer.hpp"

@@ -224,15 +224,16 @@ void pixel_offsets(const ConvGeometry& g, const PaddedInput& xp,
   }
 }
 
-/// MR x NR register tile over a kb-long packed panel pair. The fixed trip
-/// counts let the compiler keep all MR*NR accumulators in registers and emit
-/// wide FMAs for the c loop.
+/// MR x NR register tile over a kb-long A panel and kb B rows of NR floats,
+/// row kk at bp + kk*ldb (kNR for a packed panel). The fixed trip counts let
+/// the compiler keep all MR*NR accumulators in registers and emit wide FMAs
+/// for the c loop.
 inline void micro_kernel(std::int64_t kb, const float* ap, const float* bp,
-                         float* acc) {
+                         std::int64_t ldb, float* acc) {
   float t[kMR * kNR] = {};
   for (std::int64_t kk = 0; kk < kb; ++kk) {
     const float* arow = ap + kk * kMR;
-    const float* brow = bp + kk * kNR;
+    const float* brow = bp + kk * ldb;
     for (std::int64_t r = 0; r < kMR; ++r) {
       const float av = arow[r];
       for (std::int64_t c = 0; c < kNR; ++c) t[r * kNR + c] += av * brow[c];
@@ -274,7 +275,7 @@ void dense_tiles(std::int64_t kb, std::int64_t mb, std::int64_t nb,
   for (std::int64_t jp = 0; jp < jps; ++jp) {
     for (std::int64_t ip = 0; ip < ips; ++ip) {
       float acc[kMR * kNR];
-      micro_kernel(kb, ap + ip * kb * kMR, bp + jp * kb * kNR, acc);
+      micro_kernel(kb, ap + ip * kb * kMR, bp + jp * kb * kNR, kNR, acc);
       store_tile(c + ip * kMR * ldc + jp * kNR, ldc, acc,
                  std::min(kMR, mb - ip * kMR), std::min(kNR, nb - jp * kNR),
                  alpha, beta_eff);
@@ -347,6 +348,91 @@ void gemm_dense(Trans ta, std::int64_t m, std::int64_t n, std::int64_t k,
         util::parallel_for_chunked(0, ic_blocks, run_blocks);
     }
   }
+}
+
+// ---- convolution input gradient --------------------------------------------
+//
+// dx = col2im(Wᵀ·G) without the [patch, N·OHW] column matrix. Per sample the
+// kernel fills a zero-padded copy of the image gradient, [C, Hp, Wp]. For
+// each group of kMR consecutive column-matrix rows (taps), register tiles
+// over the flattened output plane compute
+//   t[row][q] = Σ_o W[o, row] · G[o, q]
+// — micro_kernel over the A panel gemm_raw would pack from Wᵀ, reading the
+// sample's G in place — and each row of t is then added into its channel's
+// plane at offset kh*Wp + kw, row stride SH*Wp, column stride SW, rows
+// ascending. Finally the interior of each padded plane is copied out to dx.
+//
+// Bit-identity with Wᵀ·G through gemm_raw followed by col2im: every t
+// element is micro_kernel's chain (o ascending from +0.0f, one KC slab at a
+// time, later slabs added to the first), and every dx element receives its
+// taps' contributions in ascending row order starting from +0.0f, which is
+// col2im's order. Contributions that land in the padding are dropped.
+
+/// One sample's dx: `ap` holds Wᵀ's MR-row A panels ([cout][kMR] each), `gs`
+/// the sample's G [cout, OHW]; `tail` has room for cout x kNR floats, `t`
+/// for kMR rows of OHW rounded up to kNR, `padded` for C x Hp x Wp.
+SNNSEC_KERNEL_CLONES
+void conv_dx_sample(const ConvGeometry& g, std::int64_t cout, const float* ap,
+                    const float* gs, float* dxs, float* tail, float* t,
+                    float* padded) {
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  const std::int64_t ohw = oh * ow;
+  const std::int64_t ohw_full = ohw / kNR * kNR;
+  const std::int64_t ohw_pad = round_up(ohw, kNR);
+  const std::int64_t hp = g.height + 2 * g.pad_h;
+  const std::int64_t wp = g.width + 2 * g.pad_w;
+  const std::int64_t taps = g.kernel_h * g.kernel_w;
+  const std::int64_t patch = g.patch_size();
+  // The ragged last pixel tile reads a zero-padded copy of G's tail columns,
+  // so every tile runs the same fixed-width micro_kernel.
+  if (ohw_full < ohw) {
+    for (std::int64_t o = 0; o < cout; ++o) {
+      float* dst = tail + o * kNR;
+      std::copy(gs + o * ohw + ohw_full, gs + (o + 1) * ohw, dst);
+      std::fill(dst + (ohw - ohw_full), dst + kNR, 0.0f);
+    }
+  }
+  std::fill(padded, padded + g.channels * hp * wp, 0.0f);
+  for (std::int64_t r0 = 0; r0 < patch; r0 += kMR) {
+    const float* apr = ap + r0 * cout;
+    for (std::int64_t q0 = 0; q0 < ohw_pad; q0 += kNR) {
+      const bool full = q0 < ohw_full;
+      const float* bq = full ? gs + q0 : tail;
+      const std::int64_t ldb = full ? ohw : kNR;
+      for (std::int64_t pc = 0; pc < cout; pc += kKC) {
+        float acc[kMR * kNR];
+        micro_kernel(std::min(kKC, cout - pc), apr + pc * kMR, bq + pc * ldb,
+                     ldb, acc);
+        for (std::int64_t r = 0; r < kMR; ++r) {
+          float* trow = t + r * ohw_pad + q0;
+          const float* arow = acc + r * kNR;
+          if (pc == 0) {
+            for (std::int64_t j = 0; j < kNR; ++j) trow[j] = arow[j];
+          } else {
+            for (std::int64_t j = 0; j < kNR; ++j) trow[j] += arow[j];
+          }
+        }
+      }
+    }
+    for (std::int64_t row = r0; row < std::min(r0 + kMR, patch); ++row) {
+      const std::int64_t tap = row % taps;
+      float* base = padded + (row / taps) * hp * wp +
+                    (tap / g.kernel_w) * wp + tap % g.kernel_w;
+      const float* trow = t + (row - r0) * ohw_pad;
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        float* dst = base + oy * g.stride_h * wp;
+        const float* src = trow + oy * ow;
+        for (std::int64_t ox = 0; ox < ow; ++ox)
+          dst[ox * g.stride_w] += src[ox];
+      }
+    }
+  }
+  for (std::int64_t c = 0; c < g.channels; ++c)
+    for (std::int64_t y = 0; y < g.height; ++y)
+      std::memcpy(dxs + (c * g.height + y) * g.width,
+                  padded + (c * hp + g.pad_h + y) * wp + g.pad_w,
+                  sizeof(float) * g.width);
 }
 
 // ---- sparse (zero-skip) kernel ---------------------------------------------
@@ -459,6 +545,33 @@ void gemm_conv_raw(Trans trans_a, Trans trans_b, std::int64_t m, float alpha,
     pack_b_offsets(xp.data, k_off, kb, n_off, nb, bp);
   };
   gemm_dense(trans_a, m, n, k, alpha, a, lda, pack_b, beta, c, ldc);
+}
+
+void conv_input_grad(const ConvGeometry& g, const float* w, std::int64_t cout,
+                     const float* grad, std::int64_t batch, float* dx) {
+  if (batch <= 0) return;
+  const std::int64_t ohw = g.out_h() * g.out_w();
+  const std::int64_t patch = g.patch_size();
+  const std::int64_t image = g.channels * g.height * g.width;
+  const std::int64_t padded =
+      g.channels * (g.height + 2 * g.pad_h) * (g.width + 2 * g.pad_w);
+  util::Workspace& ws = util::Workspace::local();
+  util::Workspace::Scope scope(ws);
+  // Wᵀ packed as gemm_raw packs op(A): zero-padded MR-row panels, K = cout.
+  float* ap =
+      ws.alloc<float>(static_cast<std::size_t>(round_up(patch, kMR) * cout));
+  pack_a_block(Trans::kYes, w, patch, 0, patch, 0, cout, ap);
+  util::parallel_for_chunked(0, batch, [&](std::int64_t lo, std::int64_t hi) {
+    util::Workspace& tws = util::Workspace::local();
+    util::Workspace::Scope sample_scope(tws);
+    float* tail = tws.alloc<float>(static_cast<std::size_t>(cout * kNR));
+    float* t =
+        tws.alloc<float>(static_cast<std::size_t>(kMR * round_up(ohw, kNR)));
+    float* pad = tws.alloc<float>(static_cast<std::size_t>(padded));
+    for (std::int64_t i = lo; i < hi; ++i)
+      conv_dx_sample(g, cout, ap, grad + i * cout * ohw, dx + i * image, tail,
+                     t, pad);
+  });
 }
 
 // SNNSEC_HOT entry: every conv/fc lowers onto this call.

@@ -84,6 +84,18 @@ void gemm_conv_raw(Trans trans_a, Trans trans_b, std::int64_t m, float alpha,
                    const float* x, std::int64_t batch, float beta, float* c,
                    std::int64_t ldc);
 
+/// Input gradient of a convolution: dx [batch, C, H, W] from the upstream
+/// gradient `grad` [batch, cout, OH, OW] and the [cout, patch] weight
+/// matrix `w`, overwriting dx. Computed per sample straight into the image
+/// (register tiles over the output plane, taps added into a padded plane)
+/// with no [patch, batch*OH*OW] column matrix, yet bit-identical to
+/// gemm_raw(kYes, kNo) of w and grad's [cout, batch*OH*OW] reorder followed
+/// by the col2im scatter-add into a zeroed dx: the same fma chain per
+/// column-matrix element and the same tap-ascending add order per dx
+/// element. Parallel over samples.
+void conv_input_grad(const ConvGeometry& g, const float* w, std::int64_t cout,
+                     const float* grad, std::int64_t batch, float* dx);
+
 /// Offline/diagnostic sparsity probe: true when >= 60% of a strided sample
 /// (up to 256 elements) of op(A) is exactly zero. Sample positions are the
 /// rounded endpoints ((t+1) * total) / samples - 1, so the final element of

@@ -1,12 +1,14 @@
-// Convolution geometry and the im2col lowering's adjoint.
+// Convolution geometry of the im2col lowering.
 //
 // Layout conventions (all row-major):
 //   image  : [C, H, W]                        (single sample)
 //   column : [C*KH*KW, OH*OW]
-// so that conv output = weight_matrix [Cout, C*KH*KW] x column. The forward
-// column matrix is never materialized: gemm_conv_raw (gemm.hpp) packs its
-// GEMM panels straight from the image. col2im_ld is the exact adjoint
-// (scatter-add), used by conv backward for the input gradient.
+// so that conv output = weight_matrix [Cout, C*KH*KW] x column. The column
+// matrix is never materialized: gemm_conv_raw (gemm.hpp) packs its GEMM
+// panels straight from the image, and conv_input_grad (gemm.hpp) computes
+// the input gradient, col2im(Wᵀ x G), straight into the image. The
+// materialized im2col/col2im pair survives only as the test reference
+// (tests/im2col_reference.hpp).
 #pragma once
 
 #include <cstdint>
@@ -39,14 +41,5 @@ struct ConvGeometry {
   /// positive output size.
   void validate() const;
 };
-
-/// Adjoint of the im2col lowering: scatter-add a [patch_size, *] column
-/// matrix back into `image_grad` (length C*H*W), used by conv backward.
-/// The column matrix has `ld` total columns (ld >= OH*OW) and this sample's
-/// block starts at column `col0`, i.e. element (row, j) lives at
-/// columns[row * ld + col0 + j], so one [patch_size, N*OH*OW] matrix serves
-/// a whole batch. The caller zeroes image_grad beforehand if required.
-void col2im_ld(const ConvGeometry& g, const float* columns, float* image_grad,
-               std::int64_t ld, std::int64_t col0);
 
 }  // namespace snnsec::tensor

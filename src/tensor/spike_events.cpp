@@ -200,88 +200,6 @@ EventRows build_event_rows(const float* a, std::int64_t lda, std::int64_t rows,
   return ev;
 }
 
-EventRows build_conv_events(const ConvGeometry& g, const float* images,
-                            std::int64_t batch, util::Workspace& ws) {
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  const std::int64_t ohw = oh * ow;
-  const std::int64_t patch = g.patch_size();
-  SNNSEC_CHECK(batch >= 0, "build_conv_events: negative batch");
-  SNNSEC_CHECK(patch <= std::numeric_limits<std::int32_t>::max(),
-               "build_conv_events: patch " << patch
-                                           << " overflows int32 index");
-  EventRows ev;
-  ev.rows = batch * ohw;
-  ev.cols = patch;
-  ev.stride = patch;
-  std::int32_t* cnt =
-      ws.alloc<std::int32_t>(static_cast<std::size_t>(ev.rows));
-  std::int32_t* idx =
-      ws.alloc<std::int32_t>(static_cast<std::size_t>(ev.rows * patch));
-  float* val = ws.alloc<float>(static_cast<std::size_t>(ev.rows * patch));
-  // Event-driven build, two stages, so work scales with the spikes that
-  // exist rather than with the patch volume (receptive fields overlap up to
-  // KH*KW-fold):
-  //   1. compress every input scanline into its own event list — the whole
-  //      batch viewed as a [batch*C*H, W] matrix, each pixel read once;
-  //   2. for each (oy, ch, kh), sweep the contributing scanline's events
-  //      ONCE and scatter each into the ox windows it falls in, advancing a
-  //      per-ox write cursor. A silent scanline — the common case for spike
-  //      planes — costs a single count load, and padding rows are skipped
-  //      without reading anything.
-  // Emission order per output row: (ch, kh) ascend in the outer loops and,
-  // within one (ch, kh), a row receives events in ascending ix, hence
-  // ascending patch index c*KH*KW + kh*KW + kw — exactly im2col's row
-  // order, so the lists are identical to a direct patch scan's.
-  const std::int64_t in_rows = batch * g.channels * g.height;
-  const EventRows in_ev =
-      build_event_rows(images, g.width, in_rows, g.width, ws);
-  const std::int32_t* in_cnt = in_ev.count;
-  const std::int32_t* in_idx = in_ev.index;
-  const float* in_val = in_ev.value;
-  util::parallel_for(0, batch, [=](std::int64_t i) {
-    util::Workspace& tws = util::Workspace::local();
-    util::Workspace::Scope scope(tws);
-    std::int32_t* cur = tws.alloc<std::int32_t>(static_cast<std::size_t>(ow));
-    for (std::int64_t oy = 0; oy < oh; ++oy) {
-      const std::int64_t row0 = i * ohw + oy * ow;
-      std::fill(cur, cur + ow, 0);
-      for (std::int64_t ch = 0; ch < g.channels; ++ch) {
-        for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-          const std::int64_t iy = oy * g.stride_h + kh - g.pad_h;
-          if (iy < 0 || iy >= g.height) continue;
-          const std::int64_t r = (i * g.channels + ch) * g.height + iy;
-          const std::int32_t rc = in_cnt[r];
-          if (rc == 0) continue;
-          const std::int32_t* rix = in_idx + r * g.width;
-          const float* rv = in_val + r * g.width;
-          const std::int64_t base = (ch * g.kernel_h + kh) * g.kernel_w;
-          for (std::int32_t e = 0; e < rc; ++e) {
-            const std::int64_t x = rix[e] + g.pad_w;
-            const std::int64_t ox_max = std::min(ow - 1, x / g.stride_w);
-            const std::int64_t a = x - g.kernel_w + 1;
-            const std::int64_t ox_min =
-                a > 0 ? (a + g.stride_w - 1) / g.stride_w : 0;
-            const float v = rv[e];
-            for (std::int64_t ox = ox_min; ox <= ox_max; ++ox) {
-              const std::int64_t row = row0 + ox;
-              const std::int32_t c = cur[ox]++;
-              idx[row * patch + c] =
-                  static_cast<std::int32_t>(base + x - ox * g.stride_w);
-              val[row * patch + c] = v;
-            }
-          }
-        }
-      }
-      for (std::int64_t ox = 0; ox < ow; ++ox) cnt[row0 + ox] = cur[ox];
-    }
-  });
-  ev.count = cnt;
-  ev.index = idx;
-  ev.value = val;
-  return ev;
-}
-
 void conv_events(const ConvGeometry& g, const float* images,
                  std::int64_t batch, const float* w, std::int64_t cout,
                  float* ct, util::Workspace& ws) {

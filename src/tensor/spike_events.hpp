@@ -57,21 +57,6 @@ struct EventRows {
 EventRows build_event_rows(const float* a, std::int64_t lda, std::int64_t rows,
                            std::int64_t cols, util::Workspace& ws);
 
-/// Compress a conv input batch [batch, C, H, W] (contiguous, flattened)
-/// directly into the event lists of its im2row matrix [batch*OH*OW, patch]
-/// — the transpose of the im2col column matrix — without materializing the
-/// dense lowering. Patch indices follow im2col's row order
-/// (c*KH*KW + kh*KW + kw), so conv-as-GEMM becomes
-///   Ct [batch*OH*OW, Cout] = events x W^T
-/// with the spike sparsity in the event operand where the kernel can use it.
-///
-/// This is the REFERENCE formulation of the event conv: materializing the
-/// patch lists duplicates every input event up to KH*KW-fold (receptive
-/// fields overlap), so the production path is conv_events below; this stays
-/// as the independently-testable spec the scatter kernel is checked against.
-EventRows build_conv_events(const ConvGeometry& g, const float* images,
-                            std::int64_t batch, util::Workspace& ws);
-
 /// Event-driven conv forward, scatter formulation:
 ///   Ct [batch*OH*OW, cout] (row-major, leading dimension cout) with
 ///   Ct[(i*OH*OW + oy*OW + ox), :] = sum over patch events of v * W^T[p, :]
@@ -80,10 +65,12 @@ EventRows build_conv_events(const ConvGeometry& g, const float* images,
 /// window it occupies — instead of materializing per-patch lists. Work and
 /// memory traffic scale with input events x KH*KW x cout; silent scanlines
 /// cost one count load. `w` is the [cout, patch] GEMM-ready weight matrix
-/// (packed transposed internally). Result equals
-/// gemm_events(build_conv_events(...), Trans::kYes, ...) up to summation
-/// association (each output element still accumulates in ascending patch
-/// order, but one event at a time rather than four-way grouped).
+/// (packed transposed internally). Result equals gemm_events over the
+/// event lists of the im2row matrix [batch*OH*OW, patch] (the test
+/// reference, which materializes those per-patch lists) with Trans::kYes,
+/// up to summation association (each output element still accumulates in
+/// ascending patch order, but one event at a time rather than four-way
+/// grouped).
 ///
 /// Determinism: samples are independent (parallelism is over the batch
 /// only) and events within a sample apply in (c, iy, ix) scan order, so

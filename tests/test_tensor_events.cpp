@@ -1,6 +1,6 @@
 // Event-driven spike kernels: compressed event lists, the event-accumulate
-// GEMM, both conv formulations (patch-list reference and production
-// scatter), and the probe_sparse tail-coverage regression.
+// GEMM, both conv formulations (the patch-list reference, defined here, and
+// the production scatter), and the probe_sparse tail-coverage regression.
 //
 // The determinism assertions here are the teeth behind DESIGN.md §14: the
 // event kernels must be bit-identical across batch sizes and serial/parallel
@@ -63,6 +63,55 @@ Tensor spike_operand(Shape shape, double rate, util::Rng& rng) {
   const float* pg = mag.data();
   for (std::int64_t i = 0; i < mask.numel(); ++i) pm[i] *= pg[i];
   return mask;
+}
+
+/// The event lists of a conv input batch's im2row matrix [batch*OH*OW,
+/// patch] — the transpose of the im2col column matrix — by a direct scan of
+/// each output pixel's receptive field in im2col's row order
+/// (c*KH*KW + kh*KW + kw), so conv as a GEMM is
+/// Ct [batch*OH*OW, Cout] = events x Wᵀ. This patch-list formulation
+/// duplicates every input event up to KH*KW-fold, which is why production
+/// runs the scatter kernel conv_events; it is the reference that kernel is
+/// checked against.
+EventRows build_conv_events(const ConvGeometry& g, const float* images,
+                            std::int64_t batch, util::Workspace& ws) {
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  const std::int64_t patch = g.patch_size();
+  EventRows ev;
+  ev.rows = batch * oh * ow;
+  ev.cols = patch;
+  ev.stride = patch;
+  std::int32_t* cnt =
+      ws.alloc<std::int32_t>(static_cast<std::size_t>(ev.rows));
+  std::int32_t* idx =
+      ws.alloc<std::int32_t>(static_cast<std::size_t>(ev.rows * patch));
+  float* val = ws.alloc<float>(static_cast<std::size_t>(ev.rows * patch));
+  for (std::int64_t row = 0; row < ev.rows; ++row) {
+    const std::int64_t i = row / (oh * ow);
+    const std::int64_t oy = row % (oh * ow) / ow;
+    const std::int64_t ox = row % ow;
+    std::int32_t c = 0;
+    for (std::int64_t p = 0; p < patch; ++p) {
+      const std::int64_t ch = p / (g.kernel_h * g.kernel_w);
+      const std::int64_t iy = oy * g.stride_h + p / g.kernel_w % g.kernel_h -
+                              g.pad_h;
+      const std::int64_t ix = ox * g.stride_w + p % g.kernel_w - g.pad_w;
+      if (iy < 0 || iy >= g.height || ix < 0 || ix >= g.width) continue;
+      const float v =
+          images[((i * g.channels + ch) * g.height + iy) * g.width + ix];
+      // NOLINTNEXTLINE(snnsec-float-eq): event lists drop exact zeros only
+      if (v == 0.0f) continue;
+      idx[row * patch + c] = static_cast<std::int32_t>(p);
+      val[row * patch + c] = v;
+      ++c;
+    }
+    cnt[row] = c;
+  }
+  ev.count = cnt;
+  ev.index = idx;
+  ev.value = val;
+  return ev;
 }
 
 /// Naive dense reference for C = alpha * A * op(B) + beta * C.

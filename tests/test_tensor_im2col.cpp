@@ -1,5 +1,6 @@
-// Conv geometry, the im2col lowering and its col2im adjoint, and the
-// implicit-im2col GEMM that packs the lowering straight from the input.
+// Conv geometry, the im2col lowering and its col2im adjoint (the test
+// references), the implicit-im2col GEMM that packs the lowering straight
+// from the input, and the input gradient computed without a column matrix.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,6 +18,7 @@
 namespace snnsec::tensor {
 namespace {
 
+using testutil::col2im_ld;
 using testutil::im2col;
 using testutil::im2col_batch;
 
@@ -380,6 +382,107 @@ TEST(ImplicitIm2col, Conv2dMatchesMaterializedLowering) {
            n * ohw, cols.data(), n * ohw, 1.0f, dw_want.data(), patch);
   conv.backward(gy);
   EXPECT_TRUE(same_bits(conv.weight().grad, dw_want));
+}
+
+/// dx the materialized way: the upstream gradient [n, m, OHW] reordered to
+/// G [m, n*OHW], the column-matrix gradient Wᵀ x G through gemm_raw, then
+/// col2im_ld of each sample's block into a zeroed image.
+Tensor materialized_input_grad(const ConvGeometry& g, const Tensor& w,
+                               std::int64_t m, const Tensor& grad,
+                               std::int64_t n) {
+  const std::int64_t ohw = g.out_h() * g.out_w();
+  const std::int64_t patch = g.patch_size();
+  Tensor gm(Shape{m, n * ohw});
+  for (std::int64_t o = 0; o < m; ++o)
+    for (std::int64_t i = 0; i < n; ++i)
+      std::memcpy(gm.data() + o * n * ohw + i * ohw,
+                  grad.data() + (i * m + o) * ohw, sizeof(float) * ohw);
+  Tensor dcols(Shape{patch, n * ohw});
+  gemm_raw(Trans::kYes, Trans::kNo, patch, n * ohw, m, 1.0f, w.data(), patch,
+           gm.data(), n * ohw, 0.0f, dcols.data(), n * ohw);
+  Tensor dx(Shape{n, g.channels, g.height, g.width});
+  const std::int64_t image = g.channels * g.height * g.width;
+  for (std::int64_t i = 0; i < n; ++i)
+    col2im_ld(g, dcols.data(), dx.data() + i * image, n * ohw, i * ohw);
+  return dx;
+}
+
+/// Random operand, optionally with a NaN, both infinities and a -0.0f
+/// planted. The NaN carries x86's default-NaN bits, which is also what
+/// 0 x Inf and Inf - Inf produce, so every NaN in a result has the same
+/// bits: when both operands of an add are NaN, which one's payload the sum
+/// keeps depends on the operand order the compiler emits for `a += b`, not
+/// on the kernel's summation order, and memcmp would otherwise test that.
+Tensor special_randn(const Shape& shape, bool specials, util::Rng& rng) {
+  Tensor t = Tensor::randn(shape, rng);
+  if (!specials) return t;
+  const std::int64_t n = t.numel();
+  t[n / 5] = -std::numeric_limits<float>::quiet_NaN();
+  t[n / 3] = -0.0f;
+  t[n / 2] = std::numeric_limits<float>::infinity();
+  t[n - 1] = -std::numeric_limits<float>::infinity();
+  return t;
+}
+
+// The input gradient computed straight into the image must equal Wᵀ x G
+// plus col2im bit for bit: every conv_cases() geometry (m is Cout here, so
+// 300 crosses the 256-deep K slab), then Cout 1, 3, 16 and 70 on shapes
+// whose output planes are off the 8-pixel grid, each once with finite
+// operands and once with NaN, ±Inf and -0.0f in both W and G.
+TEST(ImplicitIm2col, InputGradMatchesMaterializedColumns) {
+  std::vector<ConvCase> cases = conv_cases();
+  for (const std::int64_t m : {1, 3, 16, 70}) {
+    cases.push_back({1, 1, 16, 16, 5, 5, 1, 2, m});
+    cases.push_back({3, 3, 8, 8, 5, 5, 1, 2, m});
+    cases.push_back({2, 2, 7, 5, 3, 3, 2, 1, m});
+    cases.push_back({2, 1, 3, 3, 5, 4, 1, 2, m});  // kernel > input
+  }
+  std::uint64_t seed = 400;
+  for (const ConvCase& cs : cases)
+    for (const bool specials : {false, true}) {
+      const ConvGeometry g = geometry_of(cs);
+      util::Rng rng(seed++);
+      const Tensor w = special_randn(Shape{cs.m, g.patch_size()}, specials,
+                                     rng);
+      const Tensor grad = special_randn(
+          Shape{cs.batch, cs.m, g.out_h(), g.out_w()}, specials, rng);
+      const Tensor want = materialized_input_grad(g, w, cs.m, grad, cs.batch);
+      Tensor got = Tensor::randn(want.shape(), rng);  // fully overwritten
+      conv_input_grad(g, w.data(), cs.m, grad.data(), cs.batch, got.data());
+      EXPECT_TRUE(same_bits(got, want))
+          << describe(cs) << (specials ? " with specials" : "");
+    }
+}
+
+// Conv2d::backward's dx after an attack forward and after a train forward:
+// both equal the materialized route, so PGD differentiates through exactly
+// the gradient training computes.
+TEST(ImplicitIm2col, InputGradOfConv2dMatchesMaterializedLowering) {
+  for (const nn::Conv2dSpec spec :
+       {nn::Conv2dSpec{1, 3, 5, 1, 2}, nn::Conv2dSpec{3, 8, 5, 1, 2},
+        nn::Conv2dSpec{8, 16, 5, 1, 2}, nn::Conv2dSpec{4, 6, 3, 2, 1}}) {
+    util::Rng rng(500 + spec.in_channels);
+    nn::Conv2d conv(spec, rng);
+    const std::int64_t n = 3, h = 9, w = 7;
+    const Tensor x = Tensor::randn(Shape{n, spec.in_channels, h, w}, rng);
+    ConvGeometry g;
+    g.channels = spec.in_channels;
+    g.height = h;
+    g.width = w;
+    g.kernel_h = g.kernel_w = spec.kernel;
+    g.stride_h = g.stride_w = spec.stride;
+    g.pad_h = g.pad_w = spec.padding;
+    g.validate();
+    const Tensor gy = special_randn(
+        Shape{n, spec.out_channels, g.out_h(), g.out_w()}, true, rng);
+    const Tensor want = materialized_input_grad(g, conv.weight().value,
+                                                spec.out_channels, gy, n);
+    for (const nn::Mode mode : {nn::Mode::kAttack, nn::Mode::kTrain}) {
+      conv.forward(x, mode);
+      EXPECT_TRUE(same_bits(conv.backward(gy), want))
+          << conv.name() << " mode " << static_cast<int>(mode);
+    }
+  }
 }
 
 }  // namespace
