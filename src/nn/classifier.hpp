@@ -30,9 +30,7 @@ class Classifier {
   /// pixels, evaluated with inference semantics (Mode::kAttack). This is
   /// the quantity PGD/FGSM ascend. `loss_out` (optional) receives the loss.
   /// Attack mode computes dL/dx only: no Parameter::grad is touched, and
-  /// the result is bit-identical to the dx of a Mode::kTrain backward
-  /// wherever the two modes share forward semantics (no dropout or batch
-  /// statistics).
+  /// the result is bit-identical to the dx of a Mode::kTrain backward.
   virtual tensor::Tensor input_gradient(const tensor::Tensor& x,
                                         const std::vector<std::int64_t>& labels,
                                         double* loss_out = nullptr) = 0;

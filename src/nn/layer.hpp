@@ -29,12 +29,11 @@
 namespace snnsec::nn {
 
 /// Forward-pass mode:
-///  kTrain  — cache for backward (input and parameter gradients),
-///            stochastic layers (dropout) active.
+///  kTrain  — cache for backward (input and parameter gradients).
 ///  kEval   — no caching, deterministic inference.
 ///  kAttack — cache for the input gradient only (white-box attacks), with
-///            inference semantics: stochastic layers are identity and
-///            backward() accumulates no parameter gradients.
+///            inference semantics: backward() accumulates no parameter
+///            gradients.
 enum class Mode { kTrain, kEval, kAttack };
 
 constexpr bool cache_enabled(Mode m) { return m != Mode::kEval; }

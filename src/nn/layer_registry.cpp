@@ -6,25 +6,23 @@
 namespace snnsec::nn {
 
 const std::vector<LayerKindInfo>& layer_registry() {
-  // Append-only: ids are baked into checkpoint fingerprints, so entries are
-  // never renumbered or removed, only added. snnsec_lint checks that every
-  // final Layer subclass in src/nn + src/snn has a row here.
+  // Append-only: ids are baked into checkpoint fingerprints, so surviving
+  // entries are never renumbered, only added. snnsec_lint checks that every
+  // final Layer subclass in src/nn + src/snn has a row here. Ids 5, 6, 8
+  // and 15 (the removed BatchNorm1d, BatchNorm2d, Dropout and AlifLayer)
+  // are retired and must never be reused.
   static const std::vector<LayerKindInfo> kRegistry = {
       {"ReLU", 1},
       {"Scale", 2},
       {"Sigmoid", 3},
       {"Tanh", 4},
-      {"BatchNorm1d", 5},
-      {"BatchNorm2d", 6},
       {"Conv2d", 7},
-      {"Dropout", 8},
       {"Flatten", 9},
       {"Linear", 10},
       {"AvgPool2d", 11},
       {"MaxPool2d", 12},
       {"Sequential", 13},
       {"LifLayer", 14},
-      {"AlifLayer", 15},
       {"PoissonEncoder", 16},
       {"LiReadout", 17},
   };

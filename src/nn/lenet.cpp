@@ -5,9 +5,7 @@
 #include <sstream>
 
 #include "nn/activations.hpp"
-#include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/dropout.hpp"
 #include "nn/flatten.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
@@ -42,7 +40,6 @@ void LenetSpec::validate() const {
                "LenetSpec: conv channels must be positive");
   SNNSEC_CHECK(fc_hidden > 0 && fc_hidden2 > 0,
                "LenetSpec: fc sizes must be positive");
-  SNNSEC_CHECK(dropout >= 0.0 && dropout < 1.0, "LenetSpec: bad dropout");
 }
 
 std::unique_ptr<FeedforwardClassifier> build_paper_cnn(const LenetSpec& spec,
@@ -52,59 +49,26 @@ std::unique_ptr<FeedforwardClassifier> build_paper_cnn(const LenetSpec& spec,
   // conv1: 5x5, pad 2 keeps spatial size; pool halves it.
   net->emplace<Conv2d>(
       Conv2dSpec{spec.in_channels, spec.conv1_channels, 5, 1, 2}, rng);
-  if (spec.use_batchnorm) net->emplace<BatchNorm2d>(spec.conv1_channels);
   net->emplace<ReLU>();
   net->emplace<MaxPool2d>(2);
   // conv2
   net->emplace<Conv2d>(
       Conv2dSpec{spec.conv1_channels, spec.conv2_channels, 5, 1, 2}, rng);
-  if (spec.use_batchnorm) net->emplace<BatchNorm2d>(spec.conv2_channels);
   net->emplace<ReLU>();
   net->emplace<MaxPool2d>(2);
   // conv3: 3x3, pad 1, no pooling.
   net->emplace<Conv2d>(
       Conv2dSpec{spec.conv2_channels, spec.conv3_channels, 3, 1, 1}, rng);
-  if (spec.use_batchnorm) net->emplace<BatchNorm2d>(spec.conv3_channels);
   net->emplace<ReLU>();
   net->emplace<Flatten>();
   const std::int64_t flat =
       spec.conv3_channels * spec.pooled_size() * spec.pooled_size();
-  if (spec.dropout > 0.0)
-    net->emplace<Dropout>(spec.dropout, rng.fork("dropout1"));
   net->emplace<Linear>(flat, spec.fc_hidden, rng);
   net->emplace<ReLU>();
   net->emplace<Linear>(spec.fc_hidden, spec.num_classes, rng);
 
   std::ostringstream desc;
   desc << "paper 5-layer CNN (3 conv + 2 fc), " << spec.image_size << "x"
-       << spec.image_size << " input";
-  return std::make_unique<FeedforwardClassifier>(std::move(net),
-                                                 spec.num_classes, desc.str());
-}
-
-std::unique_ptr<FeedforwardClassifier> build_classic_lenet5(
-    const LenetSpec& spec, util::Rng& rng) {
-  spec.validate();
-  auto net = std::make_unique<Sequential>();
-  net->emplace<Conv2d>(
-      Conv2dSpec{spec.in_channels, spec.conv1_channels, 5, 1, 2}, rng);
-  net->emplace<ReLU>();
-  net->emplace<MaxPool2d>(2);
-  net->emplace<Conv2d>(
-      Conv2dSpec{spec.conv1_channels, spec.conv2_channels, 5, 1, 2}, rng);
-  net->emplace<ReLU>();
-  net->emplace<MaxPool2d>(2);
-  net->emplace<Flatten>();
-  const std::int64_t flat =
-      spec.conv2_channels * spec.pooled_size() * spec.pooled_size();
-  net->emplace<Linear>(flat, spec.fc_hidden, rng);
-  net->emplace<ReLU>();
-  net->emplace<Linear>(spec.fc_hidden, spec.fc_hidden2, rng);
-  net->emplace<ReLU>();
-  net->emplace<Linear>(spec.fc_hidden2, spec.num_classes, rng);
-
-  std::ostringstream desc;
-  desc << "classic LeNet-5 (2 conv + 3 fc), " << spec.image_size << "x"
        << spec.image_size << " input";
   return std::make_unique<FeedforwardClassifier>(std::move(net),
                                                  spec.num_classes, desc.str());

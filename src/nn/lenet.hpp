@@ -1,10 +1,9 @@
-// LeNet builders.
+// LeNet builder.
 //
-// The paper's motivational CNN is "5-layer: 3 convolutional + 2 fully
-// connected" trained on MNIST; its security study compares SNNs against a
-// "Lenet-5 CNN". Both variants are provided. LenetSpec is shared with the
-// spiking builder (snn/spiking_lenet.hpp) so the CNN and SNN have the same
-// number of layers and neurons per layer, as in the paper's setup.
+// The paper's CNN baseline is "5-layer: 3 convolutional + 2 fully
+// connected" trained on MNIST. LenetSpec is shared with the spiking builder
+// (snn/spiking_lenet.hpp) so the CNN and SNN have the same number of layers
+// and neurons per layer, as in the paper's setup.
 #pragma once
 
 #include <cstdint>
@@ -21,11 +20,12 @@ struct LenetSpec {
   std::int64_t num_classes = 10;
   std::int64_t conv1_channels = 6;
   std::int64_t conv2_channels = 16;
-  std::int64_t conv3_channels = 32;  ///< only the paper (3-conv) variant
+  std::int64_t conv3_channels = 32;
   std::int64_t fc_hidden = 120;
-  std::int64_t fc_hidden2 = 84;  ///< only the classic variant
-  double dropout = 0.0;
-  bool use_batchnorm = false;  ///< BatchNorm2d after each conv (paper CNN)
+  /// No builder reads this. It is kept only because checkpoint slot
+  /// meta/arch t[8] records scaled()'s value of it, and the config hash
+  /// and payload digests of existing checkpoints depend on that slot.
+  std::int64_t fc_hidden2 = 84;
 
   /// Return a copy with channel/hidden counts scaled by `factor`
   /// (rounded up, min 2) — used by the quick experiment profiles.
@@ -41,10 +41,5 @@ struct LenetSpec {
 /// (3 conv + 2 fc = the paper's "5-layer CNN".)
 std::unique_ptr<FeedforwardClassifier> build_paper_cnn(const LenetSpec& spec,
                                                        util::Rng& rng);
-
-/// Classic LeNet-5: conv-pool, conv-pool, fc(120), fc(84), fc(classes),
-/// ReLU activations, max pooling.
-std::unique_ptr<FeedforwardClassifier> build_classic_lenet5(
-    const LenetSpec& spec, util::Rng& rng);
 
 }  // namespace snnsec::nn

@@ -9,7 +9,6 @@
 #include "nn/flatten.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
-#include "snn/alif_layer.hpp"
 #include "snn/encoder.hpp"
 #include "snn/li_readout.hpp"
 #include "snn/lif_layer.hpp"
@@ -75,18 +74,6 @@ AnytimeRunner::AnytimeRunner(SpikingClassifier& model, bool allow_faults)
       sketch_layers_.push_back(obs::SketchLayerInfo{
           "lif" + std::to_string(sketch_layers_.size()),
           static_cast<double>(lif.params().v_th)});
-    } else if (kind == "AlifLayer") {
-      auto& alif = static_cast<AlifLayer&>(layer);
-      SNNSEC_CHECK(alif.time_steps() == time_steps_,
-                   "AnytimeRunner: AlifLayer T=" << alif.time_steps()
-                                                 << " != model T="
-                                                 << time_steps_);
-      stage.kind = StageKind::kAlif;
-      stage.sketch_index = static_cast<int>(sketch_layers_.size());
-      // NOLINTNEXTLINE(snnsec-hot-alloc): construction-time container growth
-      sketch_layers_.push_back(obs::SketchLayerInfo{
-          "lif" + std::to_string(sketch_layers_.size()),
-          static_cast<double>(alif.params().lif.v_th)});
     } else if (kind == "Conv2d") {
       stage.kind = StageKind::kConv;
     } else if (kind == "AvgPool2d") {
@@ -131,8 +118,7 @@ AnytimeRunner::AnytimeRunner(SpikingClassifier& model, bool allow_faults)
     std::size_t j = i;
     while (j > 0 && stages_[j - 1].kind == StageKind::kFlatten) --j;
     if (j == 0) continue;
-    const StageKind pk = stages_[j - 1].kind;
-    if (pk == StageKind::kLif || pk == StageKind::kAlif) {
+    if (stages_[j - 1].kind == StageKind::kLif) {
       stages_[j - 1].build_events = true;
       stages_[i].event_source = static_cast<int>(j - 1);
     }
@@ -228,37 +214,6 @@ void AnytimeRunner::step() {
                               n);
         // Compress AFTER the fault post-pass — the consumer must see the
         // same slab values the dense path would.
-        if (s.build_events) {
-          const std::int64_t rows = s.out.dim(0);
-          const std::int64_t cols = n / rows;
-          s.events = tensor::build_event_rows(s.out.data(), cols, rows, cols,
-                                              ws);
-        }
-        break;
-      }
-      case StageKind::kAlif: {
-        // One time slab of AlifLayer::forward — the same alif_step symbol
-        // the layer's unrolled loop calls, so stepping time outside the
-        // layer reorders no floating-point operation.
-        const auto& alif = static_cast<const AlifLayer&>(*s.layer);
-        const std::int64_t n = cur->numel();
-        ensure_flat(s.state_i, n);
-        ensure_flat(s.state_v, n);
-        ensure_flat(s.state_b, n);
-        ensure_flat(s.scratch, n);
-        ensure_flat(s.scratch_b, n);
-        if (t_ == 0) {
-          s.state_i.zero_();
-          s.state_v.zero_();
-          s.state_b.zero_();
-        }
-        ensure_like(s.out, *cur);
-        alif_step(alif.params(), n, cur->data(), s.state_i.data(),
-                  s.state_v.data(), s.state_b.data(), s.out.data(),
-                  s.scratch.data(), s.scratch_b.data());
-        if (sketch_ != nullptr)
-          sketch_->accumulate(s.sketch_index, s.out.data(), s.scratch.data(),
-                              n);
         if (s.build_events) {
           const std::int64_t rows = s.out.dim(0);
           const std::int64_t cols = n / rows;

@@ -11,14 +11,14 @@
 //
 // The runner walks the model's Sequential stack once at construction and
 // compiles it into a flat stage table (scale / conv / pool / flatten /
-// linear are stateless per step; LIF / ALIF / LI-readout carry explicit
+// linear are stateless per step; LIF / LI-readout carry explicit
 // per-neuron state across step() calls). All activations and state live in
 // persistent per-stage tensors that are reallocated only when the batch
 // geometry changes, so a warm runner performs zero heap allocations per
 // step — the property bench_serve asserts with its operator-new hook.
 //
 // Bit-identity with the one-shot path: every stage reuses the exact
-// per-step math of the corresponding layer (lif_step / alif_step / li_step
+// per-step math of the corresponding layer (lif_step / li_step
 // / the layers' own forward_into entry points), and each conv/linear runs
 // whatever kernel the layer resolved at build time — dense GEMM or the
 // event-accumulate kernel — identically in both paths; the sticky
@@ -27,7 +27,7 @@
 // elementwise and the event kernel computes each output row independently,
 // so stepping time outside the layers reorders no floating-point
 // operation. Spike slabs feeding an event-resolved Linear are compressed
-// ONCE where they are produced (the LIF/ALIF stage) and handed over as
+// ONCE where they are produced (the LIF stage) and handed over as
 // event lists; building them from the identical slab values is what keeps
 // this bit-identical to the Linear's own internal build.
 // tests/test_serve_anytime.cpp checks logits()@t==T against
@@ -117,7 +117,6 @@ class AnytimeRunner {
   enum class StageKind : std::uint8_t {
     kScale,
     kLif,
-    kAlif,
     kConv,
     kAvgPool,
     kFlatten,
@@ -128,13 +127,11 @@ class AnytimeRunner {
   struct Stage {
     StageKind kind;
     nn::Layer* layer = nullptr;
-    int sketch_index = -1;   ///< position in sketch_layers_ (LIF/ALIF only)
+    int sketch_index = -1;   ///< position in sketch_layers_ (LIF only)
     tensor::Tensor out;      ///< this stage's activation for the current step
-    tensor::Tensor state_i;  ///< synaptic current (LIF/ALIF/readout)
-    tensor::Tensor state_v;  ///< membrane potential (LIF/ALIF/readout)
-    tensor::Tensor state_b;  ///< adaptation trace (ALIF only)
+    tensor::Tensor state_i;  ///< synaptic current (LIF/readout)
+    tensor::Tensor state_v;  ///< membrane potential (LIF/readout)
     tensor::Tensor scratch;  ///< pre-reset membrane (v_decayed) sink
-    tensor::Tensor scratch_b;  ///< pre-update adaptation (b0) sink (ALIF)
     // Event handoff (wired at construction, never data-dependent): a
     // spiking stage with build_events compresses its slab once per step;
     // the consuming Linear stage reads it via event_source. The EventRows

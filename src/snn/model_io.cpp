@@ -1,5 +1,6 @@
 #include "snn/model_io.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -24,6 +25,29 @@ constexpr float kFormatVersion = 2.0f;
 constexpr float kCheckpointVersion = 1.0f;
 constexpr const char* kFormatRecord = "meta/format";
 
+// 2^24: a float holds every integer up to here exactly, so no count above
+// it can have been written through a float slot.
+constexpr std::int64_t kMaxExactInt = std::int64_t{1} << 24;
+
+// Read float slot `index` of metadata record `record` as an integer in
+// [lo, hi]. Every integer and enum slot is decoded through here, so a NaN,
+// +-Inf, fractional or out-of-range value is rejected with a util::Error
+// naming the slot before any float->int conversion (which would be
+// undefined behaviour). A crafted file reaches this check: it runs before
+// the config-hash check, and the payload digest is not a MAC.
+std::int64_t decode_int(const Tensor& t, const char* record,
+                        std::int64_t index, const char* name,
+                        std::int64_t lo, std::int64_t hi) {
+  const double v = t[index];
+  SNNSEC_CHECK(std::isfinite(v) && v == std::floor(v) &&
+                   v >= static_cast<double>(lo) &&
+                   v <= static_cast<double>(hi),
+               "model file: " << record << " t[" << index << "] (" << name
+                              << ") is " << v << ", expected an integer in ["
+                              << lo << ", " << hi << "]");
+  return static_cast<std::int64_t>(v);
+}
+
 // A 64-bit value split into four exact 16-bit chunks (floats represent
 // integers up to 2^24 exactly, so 16-bit chunks round-trip losslessly).
 void encode_u64(std::uint64_t v, float* dst) {
@@ -31,10 +55,13 @@ void encode_u64(std::uint64_t v, float* dst) {
     dst[i] = static_cast<float>((v >> (16 * i)) & 0xFFFFu);
 }
 
-std::uint64_t decode_u64(const float* src) {
+std::uint64_t decode_u64(const Tensor& t, std::int64_t first,
+                         const char* record) {
   std::uint64_t v = 0;
   for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint64_t>(src[i]) << (16 * i);
+    v |= static_cast<std::uint64_t>(
+             decode_int(t, record, first + i, "u64 chunk", 0, 0xFFFF))
+         << (16 * i);
   return v;
 }
 
@@ -55,6 +82,8 @@ Tensor encode_format(std::uint64_t config_hash, std::uint64_t digest) {
   return t;
 }
 
+// meta/arch slots: t[0] version, t[1..8] the LenetSpec counts, t[9] the
+// retired dropout rate (written 0, and only 0 loads).
 Tensor encode_arch(const nn::LenetSpec& arch) {
   Tensor t(Shape{10});
   t[0] = kFormatVersion;
@@ -66,26 +95,34 @@ Tensor encode_arch(const nn::LenetSpec& arch) {
   t[6] = static_cast<float>(arch.conv3_channels);
   t[7] = static_cast<float>(arch.fc_hidden);
   t[8] = static_cast<float>(arch.fc_hidden2);
-  t[9] = static_cast<float>(arch.dropout);
+  t[9] = 0.0f;
   return t;
 }
 
 nn::LenetSpec decode_arch(const Tensor& t) {
   SNNSEC_CHECK(t.numel() == 10 && t[0] == kFormatVersion,
                "model file: unsupported arch record (version " << t[0] << ")");
+  const auto count = [&t](std::int64_t index, const char* name) {
+    return decode_int(t, "meta/arch", index, name, 1, kMaxExactInt);
+  };
   nn::LenetSpec arch;
-  arch.in_channels = static_cast<std::int64_t>(t[1]);
-  arch.image_size = static_cast<std::int64_t>(t[2]);
-  arch.num_classes = static_cast<std::int64_t>(t[3]);
-  arch.conv1_channels = static_cast<std::int64_t>(t[4]);
-  arch.conv2_channels = static_cast<std::int64_t>(t[5]);
-  arch.conv3_channels = static_cast<std::int64_t>(t[6]);
-  arch.fc_hidden = static_cast<std::int64_t>(t[7]);
-  arch.fc_hidden2 = static_cast<std::int64_t>(t[8]);
-  arch.dropout = t[9];
+  arch.in_channels = count(1, "in_channels");
+  arch.image_size = count(2, "image_size");
+  arch.num_classes = count(3, "num_classes");
+  arch.conv1_channels = count(4, "conv1_channels");
+  arch.conv2_channels = count(5, "conv2_channels");
+  arch.conv3_channels = count(6, "conv3_channels");
+  arch.fc_hidden = count(7, "fc_hidden");
+  arch.fc_hidden2 = count(8, "fc_hidden2");
+  decode_int(t, "meta/arch", 9, "dropout; Dropout was removed, only 0 loads",
+             0, 0);
   return arch;
 }
 
+// meta/snn slots: t[14] is the retired neuron model (written 0 = LIF, and
+// only 0 loads); t[15], t[16] are the retired ALIF beta and rho, written
+// with their old defaults so the config hash of every LIF checkpoint is
+// unchanged. Any other value there fails the config-hash check.
 Tensor encode_config(const SnnConfig& cfg) {
   Tensor t(Shape{17});
   t[0] = kFormatVersion;
@@ -102,9 +139,9 @@ Tensor encode_config(const SnnConfig& cfg) {
   t[11] = cfg.encoder_uses_vth ? 1.0f : 0.0f;
   t[12] = static_cast<float>(cfg.weight_gain);
   t[13] = static_cast<float>(cfg.input_gain);
-  t[14] = static_cast<float>(static_cast<int>(cfg.neuron_model));
-  t[15] = cfg.alif_beta;
-  t[16] = cfg.alif_rho;
+  t[14] = 0.0f;
+  t[15] = 0.5f;
+  t[16] = 0.9f;
   return t;
 }
 
@@ -113,22 +150,26 @@ SnnConfig decode_config(const Tensor& t) {
                "model file: unsupported snn record (version " << t[0] << ")");
   SnnConfig cfg;
   cfg.v_th = t[1];
-  cfg.time_steps = static_cast<std::int64_t>(t[2]);
-  cfg.surrogate.kind = static_cast<SurrogateKind>(static_cast<int>(t[3]));
+  cfg.time_steps =
+      decode_int(t, "meta/snn", 2, "time_steps", 1, kMaxExactInt);
+  cfg.surrogate.kind = static_cast<SurrogateKind>(
+      decode_int(t, "meta/snn", 3, "surrogate kind", 0,
+                 static_cast<int>(SurrogateKind::kStraightThrough)));
   cfg.surrogate.alpha = t[4];
   cfg.neuron.tau_syn_inv = t[5];
   cfg.neuron.tau_mem_inv = t[6];
   cfg.neuron.v_leak = t[7];
   cfg.neuron.v_reset = t[8];
   cfg.neuron.dt = t[9];
-  cfg.encoder = static_cast<EncoderKind>(static_cast<int>(t[10]));
-  // NOLINTNEXTLINE(snnsec-float-eq): decodes an exactly-encoded 0/1 flag from the checkpoint
-  cfg.encoder_uses_vth = t[11] != 0.0f;
+  cfg.encoder = static_cast<EncoderKind>(
+      decode_int(t, "meta/snn", 10, "encoder kind", 0,
+                 static_cast<int>(EncoderKind::kPoisson)));
+  cfg.encoder_uses_vth =
+      decode_int(t, "meta/snn", 11, "encoder_uses_vth", 0, 1) == 1;
   cfg.weight_gain = t[12];
   cfg.input_gain = t[13];
-  cfg.neuron_model = static_cast<NeuronModel>(static_cast<int>(t[14]));
-  cfg.alif_beta = t[15];
-  cfg.alif_rho = t[16];
+  decode_int(t, "meta/snn", 14,
+             "neuron model; ALIF (1) was removed, only LIF (0) loads", 0, 0);
   return cfg;
 }
 
@@ -150,7 +191,31 @@ std::uint64_t decode_layers(const Tensor& t) {
   SNNSEC_CHECK(t.numel() == 5 && t[0] == kFormatVersion,
                "model file: unsupported layers record (version " << t[0]
                                                                  << ")");
-  return decode_u64(t.data() + 1);
+  return decode_u64(t, 1, kLayersRecord);
+}
+
+// Read `path` and validate its format record: checkpoint version and
+// payload digest (truncation, bit-flips). Returns the payload with the
+// format record stripped, the writer's config hash and the digest; arch
+// and config are left default. Throws util::Error on any mismatch.
+CheckpointPayload read_checked_archive(const std::string& path) {
+  CheckpointPayload out;
+  out.archive = tensor::load_archive_file(path);
+  const auto it = out.archive.find(kFormatRecord);
+  SNNSEC_CHECK(it != out.archive.end() && it->second.numel() == 9,
+               "model file " << path
+                             << ": missing format record (pre-validation "
+                                "file?)");
+  const Tensor& fmt = it->second;
+  SNNSEC_CHECK(fmt[0] == kCheckpointVersion,
+               "model file " << path << ": unsupported checkpoint version "
+                             << fmt[0]);
+  out.config_hash = decode_u64(fmt, 1, kFormatRecord);
+  out.digest = decode_u64(fmt, 5, kFormatRecord);
+  out.archive.erase(it);
+  SNNSEC_CHECK(checkpoint_digest(out.archive) == out.digest,
+               "model file " << path << ": payload digest mismatch (corrupt)");
+  return out;
 }
 
 }  // namespace
@@ -192,48 +257,16 @@ void save_checkpoint(const std::string& path,
 std::optional<std::map<std::string, Tensor>> try_load_checkpoint(
     const std::string& path, std::uint64_t config_hash) {
   if (!std::filesystem::exists(path)) return std::nullopt;
-  std::map<std::string, Tensor> archive;
   try {
-    archive = tensor::load_archive_file(path);
+    CheckpointPayload payload = read_checked_archive(path);
+    SNNSEC_CHECK(payload.config_hash == config_hash,
+                 "config hash mismatch (stale file from another config)");
+    return std::move(payload.archive);
   } catch (const util::Error& e) {
-    SNNSEC_LOG_WARN("checkpoint " << path
-                                  << " rejected (unreadable): " << e.what());
+    SNNSEC_LOG_WARN("checkpoint " << path << " rejected: " << e.what());
     SNNSEC_COUNTER_ADD("checkpoint.rejected", 1);
     return std::nullopt;
   }
-  const auto it = archive.find(kFormatRecord);
-  if (it == archive.end() || it->second.numel() != 9) {
-    SNNSEC_LOG_WARN("checkpoint " << path
-                                  << " rejected: missing format record "
-                                     "(pre-validation file?)");
-    SNNSEC_COUNTER_ADD("checkpoint.rejected", 1);
-    return std::nullopt;
-  }
-  const Tensor& fmt = it->second;
-  if (fmt[0] != kCheckpointVersion) {
-    SNNSEC_LOG_WARN("checkpoint " << path
-                                  << " rejected: format version " << fmt[0]
-                                  << " != " << kCheckpointVersion);
-    SNNSEC_COUNTER_ADD("checkpoint.rejected", 1);
-    return std::nullopt;
-  }
-  if (decode_u64(fmt.data() + 1) != config_hash) {
-    SNNSEC_LOG_WARN("checkpoint " << path
-                                  << " rejected: config hash mismatch "
-                                     "(stale file from another config)");
-    SNNSEC_COUNTER_ADD("checkpoint.rejected", 1);
-    return std::nullopt;
-  }
-  const std::uint64_t stored_digest = decode_u64(fmt.data() + 5);
-  archive.erase(it);
-  if (checkpoint_digest(archive) != stored_digest) {
-    SNNSEC_LOG_WARN("checkpoint " << path
-                                  << " rejected: payload digest mismatch "
-                                     "(corrupt/bit-flipped file)");
-    SNNSEC_COUNTER_ADD("checkpoint.rejected", 1);
-    return std::nullopt;
-  }
-  return archive;
 }
 
 void save_spiking_lenet(const std::string& path, SpikingClassifier& model,
@@ -252,32 +285,16 @@ void save_spiking_lenet(const std::string& path, SpikingClassifier& model,
 }
 
 CheckpointPayload load_validated_payload(const std::string& path) {
-  auto archive = tensor::load_archive_file(path);
-  // Validate the format record before touching any payload: version,
-  // payload digest (truncation/bit-flips) and self-consistent config hash.
-  const auto fmt_it = archive.find(kFormatRecord);
-  SNNSEC_CHECK(fmt_it != archive.end() && fmt_it->second.numel() == 9,
-               "model file " << path << ": missing format record");
-  const std::uint64_t stored_hash = decode_u64(fmt_it->second.data() + 1);
-  const std::uint64_t stored_digest = decode_u64(fmt_it->second.data() + 5);
-  SNNSEC_CHECK(fmt_it->second[0] == kCheckpointVersion,
-               "model file " << path << ": unsupported checkpoint version "
-                             << fmt_it->second[0]);
-  archive.erase(fmt_it);
-  SNNSEC_CHECK(checkpoint_digest(archive) == stored_digest,
-               "model file " << path << ": payload digest mismatch (corrupt)");
-  SNNSEC_CHECK(archive.count("meta/arch") == 1 &&
-                   archive.count("meta/snn") == 1 &&
-                   archive.count(kLayersRecord) == 1,
+  CheckpointPayload out = read_checked_archive(path);
+  SNNSEC_CHECK(out.archive.count("meta/arch") == 1 &&
+                   out.archive.count("meta/snn") == 1 &&
+                   out.archive.count(kLayersRecord) == 1,
                "model file " << path << ": missing metadata records");
-  CheckpointPayload out;
-  out.arch = decode_arch(archive.at("meta/arch"));
-  out.config = decode_config(archive.at("meta/snn"));
-  SNNSEC_CHECK(stored_hash == spiking_lenet_config_hash(out.arch, out.config),
-               "model file " << path << ": config hash mismatch");
-  out.config_hash = stored_hash;
-  out.digest = stored_digest;
-  out.archive = std::move(archive);
+  out.arch = decode_arch(out.archive.at("meta/arch"));
+  out.config = decode_config(out.archive.at("meta/snn"));
+  SNNSEC_CHECK(
+      out.config_hash == spiking_lenet_config_hash(out.arch, out.config),
+      "model file " << path << ": config hash mismatch");
   return out;
 }
 

@@ -11,6 +11,13 @@
 //   "meta/snn"    — SnnConfig fields (v_th, T, taus, surrogate, gains, ...)
 //   "p000".."pNN" — parameter tensors in Sequential order
 //
+// Retired slots: meta/arch t[9] (dropout rate) and meta/snn t[14] (neuron
+// model) are still written as 0, and t[15]/t[16] (ALIF beta, rho) as 0.5
+// and 0.9, so existing LIF checkpoints keep their config hash and digest.
+// Loading rejects a file whose t[9] or t[14] is not 0 (a Dropout or ALIF
+// model, which this build no longer has), and every integer or enum slot
+// that is non-finite, fractional or out of range, with a util::Error.
+//
 // All writers are atomic (write-to-temp + fsync + rename) and all loaders
 // validate magic/version/hash/digest, so a crashed or corrupted checkpoint
 // is rejected — with a warning, via the try_* entry points — instead of

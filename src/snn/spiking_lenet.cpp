@@ -33,15 +33,8 @@ std::unique_ptr<SpikingClassifier> build_spiking_lenet(
   LifParameters encoder_lif = lif;
   if (!config.encoder_uses_vth) encoder_lif.v_th = config.neuron.v_th;
 
-  // Hidden-layer spiking nonlinearity factory (LIF or ALIF).
-  auto make_spiking = [&](void) -> nn::LayerPtr {
-    if (config.neuron_model == NeuronModel::kAlif) {
-      AlifParameters ap;
-      ap.lif = lif;
-      ap.beta = config.alif_beta;
-      ap.rho = config.alif_rho;
-      return std::make_unique<AlifLayer>(t, ap, config.surrogate);
-    }
+  // Hidden-layer spiking nonlinearity: the paper's LIF neuron.
+  auto make_spiking = [&] {
     return std::make_unique<LifLayer>(t, lif, config.surrogate);
   };
 

@@ -16,26 +16,17 @@
 #include <memory>
 
 #include "nn/lenet.hpp"
-#include "snn/alif_layer.hpp"
 #include "snn/encoder.hpp"
+#include "snn/lif_layer.hpp"
 #include "snn/spiking_network.hpp"
 
 namespace snnsec::snn {
-
-/// Hidden-layer neuron model (the encoder stays plain LIF).
-enum class NeuronModel {
-  kLif,   ///< the paper's leaky integrate-and-fire
-  kAlif,  ///< adaptive-threshold LIF (extension studies)
-};
 
 struct SnnConfig {
   double v_th = 1.0;             ///< structural parameter #1
   std::int64_t time_steps = 64;  ///< structural parameter #2 (T)
   Surrogate surrogate{};
   LifParameters neuron;          ///< taus/dt template; v_th is overridden
-  NeuronModel neuron_model = NeuronModel::kLif;
-  float alif_beta = 0.5f;        ///< ALIF threshold boost per adaptation
-  float alif_rho = 0.9f;         ///< ALIF adaptation decay
   EncoderKind encoder = EncoderKind::kConstantCurrentLif;
   bool encoder_uses_vth = true;  ///< sweep the encoder threshold too
   std::uint64_t poisson_seed = 7;

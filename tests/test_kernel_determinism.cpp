@@ -105,10 +105,11 @@ TEST(KernelDeterminism, ConvRejectsRowSparseHint) {
 }
 
 /// Full-model batched-vs-single bit-identity. Every stage — encoder, event
-/// conv, LIF/ALIF state updates, pooled dense convs, event fc layers,
-/// readout — processes samples independently with a fixed per-sample
-/// operation order, so slicing the batch must not change any logit bit.
-void expect_model_slice_invariant(snn::NeuronModel model, std::uint64_t seed) {
+/// conv, LIF state updates, pooled dense convs, event fc layers, readout —
+/// processes samples independently with a fixed per-sample operation
+/// order, so slicing the batch must not change any logit bit.
+TEST(KernelDeterminism, SpikingLenetLifBatchedVsSingleBitIdentical) {
+  const std::uint64_t seed = 61;
   nn::LenetSpec spec;
   spec.image_size = 8;
   spec.num_classes = 4;
@@ -118,7 +119,6 @@ void expect_model_slice_invariant(snn::NeuronModel model, std::uint64_t seed) {
   spec.fc_hidden = 12;
   snn::SnnConfig config;
   config.time_steps = 6;
-  config.neuron_model = model;
   util::Rng rng(seed);
   auto net = snn::build_spiking_lenet(spec, config, rng);
 
@@ -135,14 +135,6 @@ void expect_model_slice_invariant(snn::NeuronModel model, std::uint64_t seed) {
               0)
         << "sample " << i << " logits differ between batch sizes";
   }
-}
-
-TEST(KernelDeterminism, SpikingLenetLifBatchedVsSingleBitIdentical) {
-  expect_model_slice_invariant(snn::NeuronModel::kLif, 61);
-}
-
-TEST(KernelDeterminism, SpikingLenetAlifBatchedVsSingleBitIdentical) {
-  expect_model_slice_invariant(snn::NeuronModel::kAlif, 67);
 }
 
 }  // namespace

@@ -185,8 +185,7 @@ TEST(GradCheck, EndToEndInputGradientMatchesLossSlope) {
   }
 }
 
-// The attack-mode contract on the paper CNN (no BatchNorm, no dropout, so
-// train and attack forwards share semantics): input_gradient and
+// The attack-mode contract on the paper CNN: input_gradient and
 // output_gradient return exactly the dx of a train forward + backward on the
 // same batch and cotangent, accumulate no parameter gradient, and a train
 // forward/backward right after them still passes the finite-difference

@@ -3,8 +3,8 @@
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/dropout.hpp"
 #include "nn/flatten.hpp"
+#include "nn/layer_registry.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
@@ -165,38 +165,6 @@ TEST(Flatten, CollapsesTrailingDims) {
   EXPECT_EQ(dx.shape(), x.shape());
 }
 
-TEST(Dropout, EvalModeIsIdentity) {
-  Dropout d(0.5, util::Rng(1));
-  const Tensor x = Tensor::ones(Shape{100});
-  EXPECT_TRUE(d.forward(x, Mode::kEval).allclose(x));
-  // kAttack is inference semantics too.
-  EXPECT_TRUE(d.forward(x, Mode::kAttack).allclose(x));
-}
-
-TEST(Dropout, TrainModeZerosAndRescales) {
-  Dropout d(0.5, util::Rng(2));
-  const Tensor x = Tensor::ones(Shape{10000});
-  const Tensor y = d.forward(x, Mode::kTrain);
-  std::int64_t zeros = 0;
-  double sum = 0.0;
-  for (std::int64_t i = 0; i < y.numel(); ++i) {
-    // NOLINTNEXTLINE(snnsec-float-eq): kAttack-mode dropout passes values through exactly: 0 or 2x input
-    EXPECT_TRUE(y[i] == 0.0f || y[i] == 2.0f);  // inverted dropout scale
-    // NOLINTNEXTLINE(snnsec-float-eq): train-mode dropout zeroes dropped units exactly
-    zeros += (y[i] == 0.0f);
-    sum += y[i];
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / static_cast<double>(y.numel()),
-              0.5, 0.03);
-  EXPECT_NEAR(sum / static_cast<double>(y.numel()), 1.0,
-              0.05);  // expectation preserved
-}
-
-TEST(Dropout, InvalidProbabilityThrows) {
-  EXPECT_THROW(Dropout(-0.1, util::Rng(3)), util::Error);
-  EXPECT_THROW(Dropout(1.0, util::Rng(3)), util::Error);
-}
-
 TEST(Sequential, ChainsLayersAndCollectsParameters) {
   util::Rng rng(11);
   Sequential seq;
@@ -213,6 +181,29 @@ TEST(Sequential, ChainsLayersAndCollectsParameters) {
 TEST(Sequential, AddNullThrows) {
   Sequential seq;
   EXPECT_THROW(seq.add(nullptr), util::Error);
+}
+
+// Registry ids are baked into every checkpoint's architecture fingerprint,
+// so the table is pinned in full: a renumbered row, or a reuse of the ids
+// retired with BatchNorm1d (5), BatchNorm2d (6), Dropout (8) and
+// AlifLayer (15), would silently re-key existing checkpoints.
+TEST(LayerRegistry, IdsArePinnedAndRetiredIdsUnused) {
+  const std::vector<std::pair<std::string_view, int>> expected = {
+      {"ReLU", 1},        {"Scale", 2},     {"Sigmoid", 3},
+      {"Tanh", 4},        {"Conv2d", 7},    {"Flatten", 9},
+      {"Linear", 10},     {"AvgPool2d", 11}, {"MaxPool2d", 12},
+      {"Sequential", 13}, {"LifLayer", 14}, {"PoissonEncoder", 16},
+      {"LiReadout", 17},
+  };
+  const std::vector<LayerKindInfo>& registry = layer_registry();
+  ASSERT_EQ(registry.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(registry[i].kind, expected[i].first) << "row " << i;
+    EXPECT_EQ(registry[i].id, expected[i].second) << "row " << i;
+  }
+  for (const LayerKindInfo& info : registry)
+    for (const int retired : {5, 6, 8, 15})
+      EXPECT_NE(info.id, retired) << info.kind << " reuses a retired id";
 }
 
 }  // namespace

@@ -156,16 +156,12 @@ TEST(Lenet, BuildersProduceWorkingClassifiers) {
   spec.image_size = 8;
   util::Rng rng(14);
   auto paper = build_paper_cnn(spec, rng);
-  auto classic = build_classic_lenet5(spec, rng);
   const Tensor x(Shape{2, 1, 8, 8});
   EXPECT_EQ(paper->logits(x).shape(), Shape({2, 10}));
-  EXPECT_EQ(classic->logits(x).shape(), Shape({2, 10}));
   EXPECT_EQ(paper->num_classes(), 10);
   EXPECT_FALSE(paper->describe().empty());
   // The paper variant has 3 conv + 2 fc = 5 weight layers -> 10 params.
   EXPECT_EQ(paper->parameters().size(), 10u);
-  // Classic has 2 conv + 3 fc = 5 weight layers -> 10 params.
-  EXPECT_EQ(classic->parameters().size(), 10u);
 }
 
 TEST(Lenet, PredictReturnsArgmax) {

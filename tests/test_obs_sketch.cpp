@@ -20,14 +20,12 @@ using tensor::Tensor;
 constexpr std::int64_t kImage = 8;
 constexpr double kVth = 1.1;
 
-std::unique_ptr<SpikingClassifier> make_model(
-    std::int64_t t = 7, NeuronModel neuron = NeuronModel::kLif) {
+std::unique_ptr<SpikingClassifier> make_model(std::int64_t t = 7) {
   nn::LenetSpec arch = nn::LenetSpec{}.scaled(0.25);
   arch.image_size = kImage;
   SnnConfig cfg;
   cfg.v_th = kVth;
   cfg.time_steps = t;
-  cfg.neuron_model = neuron;
   cfg.input_gain = 3.0;
   util::Rng rng(42);
   return build_spiking_lenet(arch, cfg, rng);
@@ -79,28 +77,6 @@ TEST(SketchAccumulator, BatchedMatchesSingleBitIdentical) {
 
   const std::int64_t n = 4;
   const Tensor batch = random_batch(n, 51);
-  runner.run(batch);
-  std::vector<obs::ActivitySketch> batched(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i)
-    acc.finalize(i, batched[static_cast<std::size_t>(i)]);
-
-  obs::ActivitySketch single;
-  for (std::int64_t i = 0; i < n; ++i) {
-    runner.run(slice_one(batch, i));
-    acc.finalize(0, single);
-    expect_sketch_equal(single, batched[static_cast<std::size_t>(i)]);
-  }
-}
-
-TEST(SketchAccumulator, BatchedMatchesSingleAlif) {
-  auto model = make_model(5, NeuronModel::kAlif);
-  AnytimeRunner runner(*model);
-  obs::SketchAccumulator acc;
-  acc.configure(runner.sketch_layers());
-  runner.set_sketch(&acc);
-
-  const std::int64_t n = 2;
-  const Tensor batch = random_batch(n, 61);
   runner.run(batch);
   std::vector<obs::ActivitySketch> batched(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i)

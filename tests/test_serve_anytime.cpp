@@ -16,15 +16,13 @@ namespace {
 using tensor::Shape;
 using tensor::Tensor;
 
-std::unique_ptr<SpikingClassifier> make_model(
-    std::int64_t t = 7, NeuronModel neuron = NeuronModel::kLif,
-    double input_gain = 3.0) {
+std::unique_ptr<SpikingClassifier> make_model(std::int64_t t = 7,
+                                              double input_gain = 3.0) {
   nn::LenetSpec arch = nn::LenetSpec{}.scaled(0.25);
   arch.image_size = 8;
   SnnConfig cfg;
   cfg.v_th = 1.1;
   cfg.time_steps = t;
-  cfg.neuron_model = neuron;
   cfg.input_gain = input_gain;
   util::Rng rng(42);
   return build_spiking_lenet(arch, cfg, rng);
@@ -55,19 +53,10 @@ TEST(AnytimeRunner, FullWindowMatchesOneShotBitwise) {
   expect_bitwise_equal(stepped, one_shot);
 }
 
-TEST(AnytimeRunner, FullWindowMatchesOneShotAlif) {
-  auto model = make_model(5, NeuronModel::kAlif);
-  const Tensor x = random_batch(2, 11);
-  const Tensor one_shot = model->logits(x);
-
-  AnytimeRunner runner(*model);
-  expect_bitwise_equal(runner.run(x), one_shot);
-}
-
 TEST(AnytimeRunner, NoScaleLayerWhenInputGainIsOne) {
   // input_gain == 1 drops the Scale layer from the stack; the runner must
   // still compile and match.
-  auto model = make_model(4, NeuronModel::kLif, 1.0);
+  auto model = make_model(4, 1.0);
   const Tensor x = random_batch(2, 13);
   AnytimeRunner runner(*model);
   expect_bitwise_equal(runner.run(x), model->logits(x));

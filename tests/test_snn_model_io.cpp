@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-
+#include <limits>
 #include <map>
 
+#include "nn/layer_registry.hpp"
+#include "obs/metrics.hpp"
 #include "snn/model_io.hpp"
 #include "tensor/serialize.hpp"
 #include "tensor/ops.hpp"
@@ -69,24 +71,6 @@ TEST(ModelIo, PreservesStructuralParameters) {
   fs::remove(path);
 }
 
-TEST(ModelIo, RoundTripsAlifVariant) {
-  Fixture fx;
-  fx.cfg.neuron_model = NeuronModel::kAlif;
-  fx.cfg.alif_beta = 0.7f;
-  fx.cfg.alif_rho = 0.85f;
-  util::Rng rng(101);
-  fx.model = build_spiking_lenet(fx.arch, fx.cfg, rng);
-  const std::string path = temp_path("snnsec_model_io3.snnm");
-  save_spiking_lenet(path, *fx.model, fx.arch, fx.cfg);
-  const LoadedModel loaded = load_spiking_lenet(path);
-  EXPECT_EQ(loaded.config.neuron_model, NeuronModel::kAlif);
-  EXPECT_FLOAT_EQ(loaded.config.alif_beta, 0.7f);
-  util::Rng drng(2);
-  const Tensor x = Tensor::rand_uniform(Shape{2, 1, 8, 8}, drng);
-  EXPECT_TRUE(fx.model->logits(x).allclose(loaded.model->logits(x), 0.0f));
-  fs::remove(path);
-}
-
 TEST(ModelIo, MissingFileThrows) {
   EXPECT_THROW(load_spiking_lenet("/nonexistent/model.snnm"), util::Error);
 }
@@ -111,6 +95,119 @@ TEST(ModelIo, TrainedWeightsSurviveRoundTrip) {
   const LoadedModel loaded = load_spiking_lenet(path);
   EXPECT_FLOAT_EQ(loaded.model->parameters()[0]->value[0], 123.456f);
   fs::remove(path);
+}
+
+// Apply `edit` to the archive of the checkpoint at `path`, then re-stamp a
+// self-consistent config hash (the digest over the two metadata records,
+// as spiking_lenet_config_hash computes it) and payload digest — what a
+// crafted file carries, since the digest is not a MAC. Only the metadata
+// checks can then reject the file.
+template <typename Edit>
+void craft(const std::string& path, Edit edit) {
+  auto archive = tensor::load_archive_file(path);
+  archive.erase("meta/format");
+  edit(archive);
+  std::map<std::string, Tensor> meta;
+  meta.emplace("meta/arch", archive.at("meta/arch"));
+  meta.emplace("meta/snn", archive.at("meta/snn"));
+  save_checkpoint(path, archive, checkpoint_digest(meta));
+}
+
+void craft_slot(const std::string& path, const char* record,
+                std::int64_t index, float value) {
+  craft(path, [&](std::map<std::string, Tensor>& archive) {
+    archive.at(record)[index] = value;
+  });
+}
+
+// The crafted checkpoint at `path` must make load_spiking_lenet throw
+// util::Error, and try_load_spiking_lenet return nullopt and count the
+// rejection.
+void expect_rejected(const std::string& path) {
+  EXPECT_THROW(load_spiking_lenet(path), util::Error);
+  obs::Registry::instance().set_enabled(true);
+  const obs::Counter& rejected =
+      obs::Registry::instance().counter("checkpoint.rejected");
+  const std::int64_t before = rejected.value();
+  EXPECT_FALSE(try_load_spiking_lenet(path).has_value());
+  EXPECT_EQ(rejected.value(), before + 1);
+}
+
+// A valid checkpoint with one slot crafted to `value` must be rejected.
+void expect_slot_rejected(const char* record, std::int64_t index,
+                          float value) {
+  SCOPED_TRACE(std::string(record) + " t[" + std::to_string(index) +
+               "] = " + std::to_string(value));
+  Fixture fx;
+  const std::string path = temp_path("snnsec_model_io_crafted.snnm");
+  save_spiking_lenet(path, *fx.model, fx.arch, fx.cfg);
+  craft_slot(path, record, index, value);
+  expect_rejected(path);
+  fs::remove(path);
+}
+
+TEST(ModelIo, CraftedSlotWithItsOwnValueStillLoads) {
+  // Control for the rejection tests below: re-stamping hash and digest
+  // after rewriting slots with their saved values yields a loadable file.
+  Fixture fx;
+  const std::string path = temp_path("snnsec_model_io_control.snnm");
+  save_spiking_lenet(path, *fx.model, fx.arch, fx.cfg);
+  craft_slot(path, "meta/snn", 14, 0.0f);
+  craft_slot(path, "meta/snn", 2, 7.0f);
+  craft_slot(path, "meta/arch", 4,
+             static_cast<float>(fx.arch.conv1_channels));
+  EXPECT_NO_THROW(load_spiking_lenet(path));
+  EXPECT_TRUE(try_load_spiking_lenet(path).has_value());
+  fs::remove(path);
+}
+
+TEST(ModelIo, RejectsAlifCheckpoint) {
+  // An ALIF checkpoint as earlier builds wrote it: neuron-model slot 1 and
+  // a meta/layers fingerprint whose hidden spiking layers are AlifLayer
+  // (retired registry id 15; the encoder stayed a LifLayer).
+  Fixture fx;
+  const std::string path = temp_path("snnsec_model_io_alif.snnm");
+  save_spiking_lenet(path, *fx.model, fx.arch, fx.cfg);
+  std::uint64_t h = 0xCBF29CE484222325ULL;  // architecture_fingerprint's FNV
+  const auto mix = [&h](std::uint64_t id) {
+    h ^= id;
+    h *= 0x100000001B3ULL;
+  };
+  mix(nn::layer_kind_id("Sequential"));
+  bool encoder = true;
+  for (std::size_t i = 0; i < fx.model->net().size(); ++i) {
+    const std::string_view kind = fx.model->net().layer(i).kind();
+    const bool hidden_lif = kind == "LifLayer" && !encoder;
+    mix(hidden_lif ? 15 : nn::layer_kind_id(kind));
+    if (kind == "LifLayer") encoder = false;
+  }
+  craft(path, [h](std::map<std::string, Tensor>& archive) {
+    archive.at("meta/snn")[14] = 1.0f;
+    Tensor& layers = archive.at("meta/layers");
+    for (std::int64_t c = 0; c < 4; ++c)
+      layers[1 + c] = static_cast<float>((h >> (16 * c)) & 0xFFFFu);
+  });
+  expect_rejected(path);
+  fs::remove(path);
+}
+
+TEST(ModelIo, RejectsDropoutCheckpoint) {
+  expect_slot_rejected("meta/arch", 9, 0.5f);
+}
+
+TEST(ModelIo, RejectsOutOfRangeEnumSlots) {
+  expect_slot_rejected("meta/snn", 3, 9.0f);   // surrogate kind
+  expect_slot_rejected("meta/snn", 10, 5.0f);  // encoder kind
+  expect_slot_rejected("meta/snn", 11, 2.0f);  // encoder_uses_vth flag
+}
+
+TEST(ModelIo, RejectsNonFiniteFractionalAndHugeIntegerSlots) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float v : {nan, 1e30f, inf, -inf, 2.5f, -3.0f}) {
+    expect_slot_rejected("meta/snn", 2, v);   // time_steps
+    expect_slot_rejected("meta/arch", 4, v);  // conv1_channels
+  }
 }
 
 }  // namespace

@@ -121,13 +121,12 @@ TEST(SpikingLenet, InputGradientShapeAndLoss) {
 // through Heaviside spikes are meaningless, so "ready for training" is
 // checked bitwise: parameter gradients of a train step run right after the
 // attack calls equal those of a same-seed twin that never attacked.
-void expect_attack_mode_contract(NeuronModel neuron) {
+TEST(SpikingLenet, AttackModeContractLif) {
   // Digit strokes at 16x16 keep every spiking layer active, so the
   // gradients compared below are not vacuously zero.
   nn::LenetSpec arch = nn::LenetSpec{}.scaled(0.5);
   arch.image_size = 16;
   SnnConfig cfg = tiny_cfg(8);
-  cfg.neuron_model = neuron;
   ASSERT_EQ(cfg.encoder, EncoderKind::kConstantCurrentLif);
   util::Rng rng(31);
   auto model = build_spiking_lenet(arch, cfg, rng);
@@ -176,14 +175,6 @@ void expect_attack_mode_contract(NeuronModel neuron) {
     grad_mass += tensor::l2_norm(params[i]->grad);
   }
   EXPECT_GT(grad_mass, 0.0f);
-}
-
-TEST(SpikingLenet, AttackModeContractLif) {
-  expect_attack_mode_contract(NeuronModel::kLif);
-}
-
-TEST(SpikingLenet, AttackModeContractAlif) {
-  expect_attack_mode_contract(NeuronModel::kAlif);
 }
 
 TEST(SpikingLenet, TrainBatchReducesLossOnRepeatedBatch) {

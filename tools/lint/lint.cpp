@@ -274,9 +274,7 @@ class Linter {
       const std::size_t colon = head.find(':');
       if (colon == std::string::npos) continue;
       const std::string_view bases = std::string_view(head).substr(colon + 1);
-      if (!(contains_word(bases, "Layer") ||
-            contains_word(bases, "BatchNormBase")))
-        continue;
+      if (!contains_word(bases, "Layer")) continue;
       std::istringstream hs(head.substr(5, colon - 5));
       std::string name_tok, cur;
       bool is_final = false;
