@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/checked.hpp"
+#include "util/simd.hpp"
 
 namespace snnsec::nn {
 
@@ -19,6 +20,55 @@ std::int64_t pooled_size(std::int64_t in, std::int64_t kernel,
   return (in - kernel) / stride + 1;
 }
 
+// The 2x2, stride-2 window every production pool uses: two row pointers and
+// the generic loop's add order, 0.0f + a + b + c + d (row-major taps; the
+// leading 0.0f keeps -0 becoming +0), then * inv. Bit-equal to the generic
+// loop for every input.
+SNNSEC_KERNEL_CLONES
+void avg_pool_2x2(const float* px, float* py, std::int64_t planes,
+                  std::int64_t h, std::int64_t w, std::int64_t oh,
+                  std::int64_t ow, float inv) {
+  for (std::int64_t nc = 0; nc < planes; ++nc) {
+    const float* plane = px + nc * h * w;
+    float* out = py + nc * oh * ow;
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      const float* r0 = plane + 2 * oy * w;
+      const float* r1 = r0 + w;
+      float* o = out + oy * ow;
+      for (std::int64_t ox = 0; ox < ow; ++ox)
+        o[ox] = (0.0f + r0[2 * ox] + r0[2 * ox + 1] + r1[2 * ox] +
+                 r1[2 * ox + 1]) *
+                inv;
+    }
+  }
+}
+
+// Backward of avg_pool_2x2 into a zeroed dx: the windows do not overlap,
+// so each covered tap is stored 0.0f + g * inv — what the generic
+// zero-fill-then-+= loop leaves there — and uncovered odd edges stay 0.
+// Not cloned: a v3 clone would fuse this into fma(g, inv, 0.0f), which
+// keeps the sign of a product that underflows to zero (-0, not +0).
+void avg_pool_2x2_backward(const float* pg, float* pd, std::int64_t planes,
+                           std::int64_t h, std::int64_t w, std::int64_t oh,
+                           std::int64_t ow, float inv) {
+  for (std::int64_t nc = 0; nc < planes; ++nc) {
+    float* plane = pd + nc * h * w;
+    const float* gout = pg + nc * oh * ow;
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      float* r0 = plane + 2 * oy * w;
+      float* r1 = r0 + w;
+      const float* g = gout + oy * ow;
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        const float v = 0.0f + g[ox] * inv;
+        r0[2 * ox] = v;
+        r0[2 * ox + 1] = v;
+        r1[2 * ox] = v;
+        r1[2 * ox + 1] = v;
+      }
+    }
+  }
+}
+
 // Shared accumulation core for AvgPool2d::forward and forward_into — one
 // loop, one summation order, bit-identical results on both entry points.
 void avg_pool_planes(const float* px, float* py, std::int64_t planes,
@@ -26,6 +76,10 @@ void avg_pool_planes(const float* px, float* py, std::int64_t planes,
                      std::int64_t ow, std::int64_t kernel,
                      std::int64_t stride) {
   const float inv = 1.0f / static_cast<float>(kernel * kernel);
+  if (kernel == 2 && stride == 2) {
+    avg_pool_2x2(px, py, planes, h, w, oh, ow, inv);
+    return;
+  }
   for (std::int64_t nc = 0; nc < planes; ++nc) {
     const float* plane = px + nc * h * w;
     float* out = py + nc * oh * ow;
@@ -93,6 +147,10 @@ Tensor AvgPool2d::backward(const Tensor& grad_out) {
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
   const float* pg = grad_out.data();
   float* pd = dx.data();
+  if (kernel_ == 2 && stride_ == 2) {
+    avg_pool_2x2_backward(pg, pd, n_ * c_, h_, w_, oh, ow, inv);
+    return dx;
+  }
   for (std::int64_t nc = 0; nc < n_ * c_; ++nc) {
     float* plane = pd + nc * h_ * w_;
     const float* gout = pg + nc * oh * ow;

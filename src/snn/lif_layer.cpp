@@ -7,11 +7,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <vector>
 
 #include "util/checked.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 #include "util/workspace.hpp"
 
@@ -22,20 +24,30 @@ using tensor::Tensor;
 
 namespace {
 
+/// Spikes in one row of `len` lif_step outputs, each exactly 0.0f or 1.0f.
+/// An int32 count vectorizes where a running double sum is one dependent
+/// add per element; LifLayer::forward keeps `len` within int32.
+SNNSEC_KERNEL_CLONES
+std::int32_t count_spikes(const float* z, std::int64_t len) {
+  std::int32_t n = 0;
+  for (std::int64_t k = 0; k < len; ++k) n += z[k] > 0.5f ? 1 : 0;
+  return n;
+}
+
 /// One reverse time step of LIF BPTT over `len` neurons: reads the step's
-/// pre-reset membrane, spikes and upstream gradient, writes dL/dx and
-/// updates the carries gv/gi in place. `sg` is the surrogate with its kind
-/// resolved (Surrogate::with_grad); no two arrays overlap, so the loop
-/// vectorizes.
+/// pre-reset membrane and upstream gradient, writes dL/dx and updates the
+/// carries gv/gi in place. The spike is recomputed from vd with lif_step's
+/// own compare, so it is bit-equal to the one the forward emitted. `sg` is
+/// the surrogate with its kind resolved (Surrogate::with_grad); no two
+/// arrays overlap, so the loop vectorizes.
 template <class Grad>
 void lif_bptt_step(std::int64_t len, const float* __restrict vd_row,
-                   const float* __restrict z_row,
                    const float* __restrict gz_row, float* __restrict dx_row,
                    float* __restrict gv, float* __restrict gi, Grad sg,
                    float a, float b, float v_th, float v_reset) {
   for (std::int64_t k = 0; k < len; ++k) {
     const float vd = vd_row[k];
-    const float z = z_row[k];
+    const float z = util::value_if_above(vd, v_th, 1.0f);
     const float carry_v = gv[k];
     const float carry_i = gi[k];
     // dL/dx_t: x enters i_t directly.
@@ -63,9 +75,25 @@ Tensor LifLayer::forward(const Tensor& x, nn::Mode mode) {
                name() << ": dim0 " << total << " not divisible by T="
                       << time_steps_);
   const std::int64_t per_step = x.numel() / time_steps_;  // N * features
+  SNNSEC_CHECK(per_step <= std::numeric_limits<std::int32_t>::max(),
+               name() << ": " << per_step
+                      << " neurons per step overflow the row spike count");
 
+  // vd goes straight into the BPTT cache when this mode keeps one, reusing
+  // its buffer while the shape holds; otherwise into a local for the probe.
+  const bool keep = nn::cache_enabled(mode);
+  Tensor vd_local;
+  if (keep) {
+    have_cache_ = false;
+    if (v_decayed_.shape() != x.shape()) {
+      v_decayed_ = Tensor();  // release before allocating the new shape
+      v_decayed_ = Tensor(x.shape());
+    }
+  } else {
+    vd_local = Tensor(x.shape());
+  }
+  Tensor& vd = keep ? v_decayed_ : vd_local;
   Tensor z(x.shape());
-  Tensor vd(x.shape());
   util::Workspace& ws = util::Workspace::local();
   util::Workspace::Scope scope(ws);
   float* state_i = ws.alloc<float>(static_cast<std::size_t>(per_step));
@@ -77,36 +105,36 @@ Tensor LifLayer::forward(const Tensor& x, nn::Mode mode) {
   float* pz = z.data();
   float* pvd = vd.data();
   // Parallelize across neurons: each chunk of the population evolves
-  // independently through all T steps, accumulating its share of the spike
-  // count while the rows are still hot instead of re-reading z serially.
-  std::atomic<double> spike_sum{0.0};
+  // independently through all T steps, counting its spikes row by row
+  // while the rows are still hot instead of re-reading z serially.
+  std::atomic<std::int64_t> spikes{0};
   util::parallel_for_chunked(0, per_step, [&](std::int64_t lo, std::int64_t hi) {
-    double local_sum = 0.0;
+    std::int64_t chunk_spikes = 0;
     for (std::int64_t t = 0; t < time_steps_; ++t) {
-      const std::int64_t off = t * per_step;
-      lif_step(params_, hi - lo, px + off + lo, state_i + lo, state_v + lo,
-               pz + off + lo, pvd + off + lo);
-      const float* zrow = pz + off + lo;
-      for (std::int64_t k = 0; k < hi - lo; ++k) local_sum += zrow[k];
+      const std::int64_t off = t * per_step + lo;
+      lif_step(params_, hi - lo, px + off, state_i + lo, state_v + lo,
+               pz + off, pvd + off);
+      chunk_spikes += count_spikes(pz + off, hi - lo);
     }
-    spike_sum.fetch_add(local_sum, std::memory_order_relaxed);
+    spikes.fetch_add(chunk_spikes, std::memory_order_relaxed);
   });
+  std::int64_t spike_count = spikes.load(std::memory_order_relaxed);
   if (fault_.any()) {
     // Faults rewrite z, so the fused count is stale: redo it on the (rare,
     // evaluation-only) fault path.
     apply_spike_fault(z, per_step);
-    double faulted_sum = 0.0;
-    for (std::int64_t i = 0; i < z.numel(); ++i) faulted_sum += pz[i];
-    spike_sum.store(faulted_sum, std::memory_order_relaxed);
+    spike_count = 0;
+    for (std::int64_t t = 0; t < time_steps_; ++t)
+      spike_count += count_spikes(pz + t * per_step, per_step);
   }
+  // A double holds any count below 2^53 exactly, so the rate is the one a
+  // float-by-float double sum of the 0/1 spikes gives.
   last_spike_rate_ =
-      spike_sum.load(std::memory_order_relaxed) / static_cast<double>(z.numel());
+      static_cast<double>(spike_count) / static_cast<double>(z.numel());
   last_output_numel_ = z.numel();
-  if (probe_) collect_activity_stats(z, vd, per_step);
+  if (probe_) collect_activity_stats(z, vd, per_step, spike_count);
 
-  if (nn::cache_enabled(mode)) {
-    v_decayed_ = std::move(vd);
-    spikes_ = z;  // copy; z is also the return value
+  if (keep) {
     cached_rows_ = per_step;
     have_cache_ = true;
     cached_faulted_ = fault_.any();
@@ -118,18 +146,18 @@ Tensor LifLayer::backward(const Tensor& grad_out) {
   SNNSEC_CHECK(have_cache_, name() << "::backward without cached forward");
   SNNSEC_CHECK(!cached_faulted_,
                name() << "::backward through a forward with a SpikeFault "
-                         "armed — the cached spikes are faulted, so BPTT "
-                         "would differentiate the wrong network");
-  SNNSEC_CHECK(grad_out.shape() == spikes_.shape(),
+                         "armed — BPTT recomputes the unfaulted spikes from "
+                         "the cached membrane, so it would differentiate "
+                         "the wrong network");
+  SNNSEC_CHECK(grad_out.shape() == v_decayed_.shape(),
                name() << "::backward: grad shape "
                       << grad_out.shape().to_string() << " != forward shape "
-                      << spikes_.shape().to_string());
+                      << v_decayed_.shape().to_string());
   const std::int64_t per_step = cached_rows_;
-  SNNSEC_ASSERT_SHAPE(v_decayed_, spikes_.shape());
-  SNNSEC_DCHECK(per_step * time_steps_ == spikes_.numel(),
+  SNNSEC_DCHECK(per_step * time_steps_ == v_decayed_.numel(),
                 name() << ": cached rows " << per_step
                        << " inconsistent with cache of "
-                       << spikes_.numel() << " elements");
+                       << v_decayed_.numel() << " elements");
   const float a = params_.a();
   const float b = params_.b();
   const float v_th = params_.v_th;
@@ -138,7 +166,6 @@ Tensor LifLayer::backward(const Tensor& grad_out) {
   Tensor dx(grad_out.shape());
   const float* gz = grad_out.data();
   const float* pvd = v_decayed_.data();
-  const float* pz = spikes_.data();
   float* pdx = dx.data();
 
   // The surrogate kind is resolved once, outside the BPTT loop.
@@ -157,8 +184,8 @@ Tensor LifLayer::backward(const Tensor& grad_out) {
           std::fill(gi, gi + len, 0.0f);
           for (std::int64_t t = time_steps_ - 1; t >= 0; --t) {
             const std::int64_t off = t * per_step + lo;
-            lif_bptt_step(len, pvd + off, pz + off, gz + off, pdx + off, gv,
-                          gi, sg, a, b, v_th, v_reset);
+            lif_bptt_step(len, pvd + off, gz + off, pdx + off, gv, gi, sg, a,
+                          b, v_th, v_reset);
           }
         });
   });
@@ -166,14 +193,12 @@ Tensor LifLayer::backward(const Tensor& grad_out) {
 }
 
 void LifLayer::collect_activity_stats(const Tensor& z, const Tensor& vd,
-                                      std::int64_t per_step) {
+                                      std::int64_t per_step,
+                                      std::int64_t spike_count) {
   obs::ActivityStats stats;
   stats.neuron_steps = z.numel();
   stats.neurons = per_step;
-  stats.spike_count =
-      static_cast<std::int64_t>(last_spike_rate_ *
-                                    static_cast<double>(z.numel()) +
-                                0.5);
+  stats.spike_count = spike_count;
   stats.firing_rate = last_spike_rate_;
 
   // Per-neuron any/all reductions over the time axis: a neuron here is one
@@ -294,7 +319,6 @@ std::string LifLayer::name() const {
 
 void LifLayer::clear_cache() {
   v_decayed_ = Tensor();
-  spikes_ = Tensor();
   have_cache_ = false;
 }
 

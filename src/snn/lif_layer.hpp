@@ -8,9 +8,11 @@
 // more batch — so a spiking network is an ordinary nn::Sequential with
 // LifLayer instances where Norse would place LIFCell/LIFFeedForwardCell.
 //
-// Forward caches per step: the pre-reset membrane v_decayed and the spikes
-// z (what the surrogate and reset-gate backward need). Backward runs
-// reverse-time, carrying dL/dv and dL/di across steps:
+// Forward caches per step only the pre-reset membrane v_decayed (what the
+// surrogate and reset-gate backward need); backward recomputes the spike
+// z_t = H(vd_t - v_th) from it with the compare lif_step used, so z is
+// bit-equal to the forward's. Backward runs reverse-time, carrying dL/dv
+// and dL/di across steps:
 //
 //   tdz_t  = g_z[t] + gv ⊙ (v_reset − vd_t)        (spike + reset gate)
 //   gvd    = gv ⊙ (1 − z_t) + tdz_t ⊙ sg(vd_t − v_th)
@@ -32,9 +34,11 @@ namespace snnsec::snn {
 /// A "slot" below is one (sample, feature) neuron instance followed through
 /// the whole time window. Faults compose: stuck-at masks override the spike
 /// train, then each surviving spike is independently dropped or jittered.
-/// Backward through an armed layer is NOT supported — the BPTT caches hold
-/// the faulted spikes — so arm faults for evaluation forwards only;
-/// backward() after a faulted train/attack forward throws util::Error.
+/// Backward through an armed layer is NOT supported — BPTT recomputes the
+/// unfaulted spikes from the cached membrane, so it would differentiate a
+/// network other than the one that ran — so arm faults for evaluation
+/// forwards only; backward() after a faulted train/attack forward throws
+/// util::Error.
 struct SpikeFault {
   double drop_prob = 0.0;           ///< P(spike deleted)
   double jitter_prob = 0.0;         ///< P(spike delayed by one time step)
@@ -91,17 +95,16 @@ class LifLayer final : public nn::Layer {
 
  private:
   void collect_activity_stats(const tensor::Tensor& z,
-                              const tensor::Tensor& vd,
-                              std::int64_t per_step);
+                              const tensor::Tensor& vd, std::int64_t per_step,
+                              std::int64_t spike_count);
   void apply_spike_fault(tensor::Tensor& z, std::int64_t per_step) const;
 
   std::int64_t time_steps_;
   LifParameters params_;
   Surrogate surrogate_;
 
-  // caches (train/attack mode)
+  // cache (train/attack mode); its buffer is reused while the shape holds
   tensor::Tensor v_decayed_;  // [T*N, F...]
-  tensor::Tensor spikes_;     // [T*N, F...]
   std::int64_t cached_rows_ = 0;  // N*F per step
   bool have_cache_ = false;
   bool cached_faulted_ = false;  // forward ran with a SpikeFault armed

@@ -552,6 +552,9 @@ void conv_input_grad(const ConvGeometry& g, const float* w, std::int64_t cout,
   if (batch <= 0) return;
   const std::int64_t ohw = g.out_h() * g.out_w();
   const std::int64_t patch = g.patch_size();
+  // Counted as the Wᵀ G GEMM it replaces: [patch, cout] x [cout, pixels].
+  SNNSEC_COUNTER_ADD("tensor.gemm.calls", 1);
+  SNNSEC_COUNTER_ADD("tensor.gemm.flops", 2 * cout * patch * batch * ohw);
   const std::int64_t image = g.channels * g.height * g.width;
   const std::int64_t padded =
       g.channels * (g.height + 2 * g.pad_h) * (g.width + 2 * g.pad_w);

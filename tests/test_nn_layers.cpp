@@ -1,6 +1,9 @@
 // Forward semantics of every nn layer.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
@@ -107,6 +110,106 @@ TEST(AvgPool2d, AveragesWindows) {
   EXPECT_EQ(y.shape(), Shape({1, 1, 1, 2}));
   EXPECT_FLOAT_EQ(y[0], 2.5f);
   EXPECT_FLOAT_EQ(y[1], 6.5f);
+}
+
+// The generic kernel x kernel loops AvgPool2d runs for every window shape
+// but 2x2/stride-2, whose fast path must match them bit for bit.
+Tensor generic_avg_pool(const Tensor& x, std::int64_t kernel,
+                        std::int64_t stride) {
+  const std::int64_t h = x.dim(2);
+  const std::int64_t w = x.dim(3);
+  const std::int64_t oh = (h - kernel) / stride + 1;
+  const std::int64_t ow = (w - kernel) / stride + 1;
+  Tensor y(Shape{x.dim(0), x.dim(1), oh, ow});
+  const float inv = 1.0f / static_cast<float>(kernel * kernel);
+  for (std::int64_t nc = 0; nc < x.dim(0) * x.dim(1); ++nc)
+    for (std::int64_t oy = 0; oy < oh; ++oy)
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        float acc = 0.0f;
+        for (std::int64_t ky = 0; ky < kernel; ++ky)
+          for (std::int64_t kx = 0; kx < kernel; ++kx)
+            acc += x[nc * h * w + (oy * stride + ky) * w + ox * stride + kx];
+        y[nc * oh * ow + oy * ow + ox] = acc * inv;
+      }
+  return y;
+}
+
+Tensor generic_avg_pool_backward(const Tensor& g, const Shape& in,
+                                 std::int64_t kernel, std::int64_t stride) {
+  const std::int64_t h = in.dim(2);
+  const std::int64_t w = in.dim(3);
+  const std::int64_t oh = g.dim(2);
+  const std::int64_t ow = g.dim(3);
+  Tensor dx(in);
+  const float inv = 1.0f / static_cast<float>(kernel * kernel);
+  for (std::int64_t nc = 0; nc < in.dim(0) * in.dim(1); ++nc)
+    for (std::int64_t oy = 0; oy < oh; ++oy)
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        const float v = g[nc * oh * ow + oy * ow + ox] * inv;
+        for (std::int64_t ky = 0; ky < kernel; ++ky)
+          for (std::int64_t kx = 0; kx < kernel; ++kx)
+            dx[nc * h * w + (oy * stride + ky) * w + ox * stride + kx] += v;
+      }
+  return dx;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Random values with -0, NaN, +-Inf and denormals (some of which underflow
+// to -0 when scaled by 1/4) sprinkled in, plus a window of -0 only.
+Tensor pool_operand(const Shape& shape, util::Rng& rng) {
+  Tensor t = Tensor::randn(shape, rng);
+  const float specials[] = {-0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            -3e-39f,
+                            1e-40f};
+  for (std::int64_t i = 0; i < t.numel(); i += 5)
+    t[i] = specials[rng.uniform_int(0, std::size(specials) - 1)];
+  for (std::int64_t i = 0; i < std::min<std::int64_t>(t.numel(), 2); ++i)
+    t[i] = -0.0f;
+  if (shape.dim(3) > 1 && shape.dim(2) > 1) {
+    t[shape.dim(3)] = -0.0f;
+    t[shape.dim(3) + 1] = -0.0f;
+  }
+  return t;
+}
+
+void expect_pool_matches_generic(std::int64_t kernel, std::int64_t stride,
+                                 const Shape& in, util::Rng& rng) {
+  SCOPED_TRACE("k=" + std::to_string(kernel) + " s=" +
+               std::to_string(stride) + " in=" + in.to_string());
+  AvgPool2d pool(kernel, stride);
+  const Tensor x = pool_operand(in, rng);
+  const Tensor want = generic_avg_pool(x, kernel, stride);
+  EXPECT_TRUE(same_bits(pool.forward(x, Mode::kAttack), want));
+  Tensor y;
+  pool.forward_into(x, y);
+  EXPECT_TRUE(same_bits(y, want));
+  const Tensor g = pool_operand(want.shape(), rng);
+  EXPECT_TRUE(same_bits(pool.backward(g),
+                        generic_avg_pool_backward(g, in, kernel, stride)));
+}
+
+TEST(AvgPool2d, FastAndGenericPathsMatchBitForBit) {
+  util::Rng rng(31);
+  for (const Shape& in : {Shape{1, 1, 2, 2}, Shape{2, 3, 6, 8},
+                          Shape{2, 3, 7, 9}, Shape{3, 2, 5, 4},
+                          Shape{1, 4, 28, 28}, Shape{2, 1, 14, 15}}) {
+    expect_pool_matches_generic(2, 2, in, rng);  // the 2x2 fast path
+    expect_pool_matches_generic(3, 2, in.dim(2) >= 3 && in.dim(3) >= 3
+                                          ? in
+                                          : Shape{1, 1, 3, 3},
+                                rng);           // overlapping windows
+    expect_pool_matches_generic(2, 1, in, rng);  // overlapping windows
+  }
 }
 
 TEST(MaxPool2d, TakesWindowMaxAndRoutesGradient) {

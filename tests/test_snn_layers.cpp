@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "gradcheck.hpp"
 #include "snn/encoder.hpp"
@@ -253,6 +255,170 @@ TEST(PoissonEncoder, StraightThroughGradientGating) {
   EXPECT_FLOAT_EQ(dx[1], 1.0f);
   EXPECT_FLOAT_EQ(dx[2], 1.0f);
   EXPECT_FLOAT_EQ(dx[3], 0.0f);  // above range
+}
+
+// ---- bit-identity with the spike-storing formulation ----------------------
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// LifLayer as formulated with a cached spike slab: one serial forward over
+// the whole population that stores z and vd and sums the spikes in double,
+// and a reverse-time BPTT that reads the stored z.
+struct LifReference {
+  LifParameters p;
+  Surrogate surrogate;
+  std::int64_t time_steps;
+  Tensor z;
+  Tensor vd;
+  double spike_rate = 0.0;
+
+  LifReference(const LifParameters& params, const Surrogate& s,
+               std::int64_t t, const Tensor& x)
+      : p(params), surrogate(s), time_steps(t), z(x.shape()), vd(x.shape()) {
+    const std::int64_t per_step = x.numel() / time_steps;
+    std::vector<float> i(static_cast<std::size_t>(per_step), 0.0f);
+    std::vector<float> v(static_cast<std::size_t>(per_step), 0.0f);
+    double sum = 0.0;
+    for (std::int64_t step = 0; step < time_steps; ++step) {
+      const std::int64_t off = step * per_step;
+      lif_step(p, per_step, x.data() + off, i.data(), v.data(),
+               z.data() + off, vd.data() + off);
+      for (std::int64_t k = 0; k < per_step; ++k) sum += z[off + k];
+    }
+    spike_rate = sum / static_cast<double>(x.numel());
+  }
+
+  Tensor backward(const Tensor& g) const {
+    const std::int64_t per_step = g.numel() / time_steps;
+    Tensor dx(g.shape());
+    std::vector<float> gv(static_cast<std::size_t>(per_step), 0.0f);
+    std::vector<float> gi(static_cast<std::size_t>(per_step), 0.0f);
+    const float a = p.a();
+    const float b = p.b();
+    surrogate.with_grad([&](auto sg) {
+      for (std::int64_t step = time_steps - 1; step >= 0; --step) {
+        for (std::int64_t k = 0; k < per_step; ++k) {
+          const std::int64_t e = step * per_step + k;
+          const auto kk = static_cast<std::size_t>(k);
+          const float carry_v = gv[kk];
+          const float carry_i = gi[kk];
+          dx[e] = carry_i;
+          const float tdz = g[e] + carry_v * (p.v_reset - vd[e]);
+          const float gvd =
+              carry_v * (1.0f - z[e]) + tdz * sg(vd[e] - p.v_th);
+          gv[kk] = gvd * (1.0f - a);
+          gi[kk] = gvd * a + carry_i * b;
+        }
+      }
+    });
+    return dx;
+  }
+};
+
+constexpr std::int64_t kBitT = 6;
+constexpr std::int64_t kBitF = 37;  // odd, so chunks end in vector tails
+
+// v_th = a * 7 rounded, so an input of 7 at t = 0 puts vd at t = 1 exactly
+// on the threshold (v and i start at 0); `x_above` puts it one ulp above.
+struct ThresholdCase {
+  LifParameters p;
+  float x_above = 0.0f;
+
+  ThresholdCase() {
+    const float a = p.a();
+    p.v_th = a * 7.0f;
+    const float target = std::nextafter(p.v_th, 2.0f);
+    for (float x = 7.0f; x < 7.1f; x = std::nextafter(x, 8.0f))
+      if (a * x == target) {  // NOLINT(snnsec-float-eq): exact ulp search
+        x_above = x;
+        break;
+      }
+  }
+
+  // [T*N, F] inputs in [0, 2) with sample 0's neurons 0 and 1 driven onto
+  // the threshold and one ulp above it at t = 1.
+  Tensor input(std::int64_t n, util::Rng& rng) const {
+    Tensor x = Tensor::rand_uniform(Shape{kBitT * n, kBitF}, rng, 0.0f, 2.0f);
+    x[0] = 7.0f;
+    x[1] = x_above;
+    return x;
+  }
+};
+
+// One train/attack forward + backward of `lif` against the reference.
+void expect_matches_reference(LifLayer& lif, const ThresholdCase& tc,
+                              nn::Mode mode, const Tensor& x,
+                              util::Rng& rng) {
+  const LifReference ref(tc.p, lif.surrogate(), kBitT, x);
+  const Tensor z = lif.forward(x, mode);
+  EXPECT_TRUE(same_bits(z, ref.z));
+  EXPECT_TRUE(same_bits(lif.last_spike_rate(), ref.spike_rate))
+      << lif.last_spike_rate() << " vs " << ref.spike_rate;
+  const Tensor g = Tensor::randn(x.shape(), rng);
+  EXPECT_TRUE(same_bits(lif.backward(g), ref.backward(g)));
+}
+
+TEST(LifLayerBitwise, MatchesSpikeStoringReference) {
+  const ThresholdCase tc;
+  ASSERT_GT(tc.x_above, 0.0f) << "no input lands one ulp above v_th";
+  for (const SurrogateKind kind :
+       {SurrogateKind::kSuperSpike, SurrogateKind::kTriangle,
+        SurrogateKind::kSigmoidDeriv, SurrogateKind::kStraightThrough}) {
+    for (const nn::Mode mode : {nn::Mode::kTrain, nn::Mode::kAttack}) {
+      SCOPED_TRACE(static_cast<int>(kind) * 10 + static_cast<int>(mode));
+      LifLayer lif(kBitT, tc.p, Surrogate{kind, 2.0f});
+      util::Rng rng(40 + static_cast<std::uint64_t>(kind));
+      const Tensor x = tc.input(3, rng);
+      const LifReference ref(tc.p, lif.surrogate(), kBitT, x);
+      // The input really reaches both threshold cases at t = 1.
+      ASSERT_EQ(ref.vd[3 * kBitF], tc.p.v_th);
+      ASSERT_EQ(ref.vd[3 * kBitF + 1], std::nextafter(tc.p.v_th, 2.0f));
+      EXPECT_EQ(ref.z[3 * kBitF], 0.0f);
+      EXPECT_EQ(ref.z[3 * kBitF + 1], 1.0f);
+      expect_matches_reference(lif, tc, mode, x, rng);
+    }
+  }
+}
+
+TEST(LifLayerBitwise, AttackForwardsAcrossBatchSizes) {
+  // The membrane cache is reused while the shape holds and rebuilt when the
+  // batch changes; an eval forward in between must leave it alone.
+  const ThresholdCase tc;
+  LifLayer lif(kBitT, tc.p, Surrogate{SurrogateKind::kSuperSpike, 2.0f});
+  util::Rng rng(77);
+  for (const std::int64_t n : {3, 5, 5, 1, 3, 3}) {
+    SCOPED_TRACE(n);
+    expect_matches_reference(lif, tc, nn::Mode::kAttack, tc.input(n, rng),
+                             rng);
+  }
+  const Tensor x = tc.input(2, rng);
+  const LifReference ref(tc.p, lif.surrogate(), kBitT, x);
+  lif.forward(x, nn::Mode::kAttack);
+  lif.forward(tc.input(4, rng), nn::Mode::kEval);
+  const Tensor g = Tensor::randn(x.shape(), rng);
+  EXPECT_TRUE(same_bits(lif.backward(g), ref.backward(g)));
+}
+
+TEST(LifLayerBitwise, ProbedSpikeCountIsExact) {
+  const ThresholdCase tc;
+  LifLayer lif(kBitT, tc.p, Surrogate{});
+  lif.set_probe(true);
+  util::Rng rng(5);
+  const Tensor z = lif.forward(tc.input(4, rng), nn::Mode::kEval);
+  std::int64_t spikes = 0;
+  for (std::int64_t i = 0; i < z.numel(); ++i) spikes += z[i] > 0.5f ? 1 : 0;
+  EXPECT_EQ(lif.last_activity().spike_count, spikes);
+  EXPECT_TRUE(same_bits(lif.last_spike_rate(),
+                        static_cast<double>(spikes) /
+                            static_cast<double>(z.numel())));
 }
 
 TEST(LifLayer, NamesDescribeConfiguration) {

@@ -1,7 +1,12 @@
 // Model checkpoint save/load round-trips.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
 
@@ -208,6 +213,65 @@ TEST(ModelIo, RejectsNonFiniteFractionalAndHugeIntegerSlots) {
     expect_slot_rejected("meta/snn", 2, v);   // time_steps
     expect_slot_rejected("meta/arch", 4, v);  // conv1_channels
   }
+}
+
+// Sanitizer runtimes reserve terabytes of address space up front, so an
+// address-space cap cannot be set under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kCanCapAddressSpace = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+constexpr bool kCanCapAddressSpace = false;
+#else
+constexpr bool kCanCapAddressSpace = true;
+#endif
+#else
+constexpr bool kCanCapAddressSpace = true;
+#endif
+
+// Cap this process's address space at its current size plus 1 GiB, so a
+// load that tries to allocate GiBs fails with bad_alloc instead of
+// exhausting the machine.
+void cap_address_space() {
+  std::ifstream statm("/proc/self/statm");
+  long pages = 0;
+  statm >> pages;
+  const rlim_t cap = static_cast<rlim_t>(pages) *
+                         static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                     (rlim_t{1} << 30);
+  const rlimit limit{cap, cap};
+  setrlimit(RLIMIT_AS, &limit);
+}
+
+TEST(ModelIo, RejectsArchWhoseParametersOutgrowTheFile) {
+  // conv2_channels = 2^24 with a self-consistent hash and digest: the
+  // rebuilt network would hold ~3.4 GB of conv2 weights. The load must
+  // reject the file from its own tensor sizes before building anything.
+  Fixture fx;
+  const std::string path = temp_path("snnsec_model_io_huge_arch.snnm");
+  save_spiking_lenet(path, *fx.model, fx.arch, fx.cfg);
+  craft_slot(path, "meta/arch", 5, 16777216.0f);
+  // A forked child under an address-space cap, so a regression aborts the
+  // child on bad_alloc rather than allocating GiBs here.
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+#endif
+  EXPECT_EXIT(
+      {
+        if (kCanCapAddressSpace) cap_address_space();
+        bool threw = false;
+        try {
+          load_spiking_lenet(path);
+        } catch (const util::Error&) {
+          threw = true;
+        }
+        std::exit(threw && !try_load_spiking_lenet(path).has_value() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  fs::remove(path);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "im2col_reference.hpp"
 #include "nn/conv2d.hpp"
+#include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "util/rng.hpp"
@@ -483,6 +484,29 @@ TEST(ImplicitIm2col, InputGradOfConv2dMatchesMaterializedLowering) {
           << conv.name() << " mode " << static_cast<int>(mode);
     }
   }
+}
+
+// conv_input_grad counts as the Wᵀ G GEMM it replaces — one call of
+// 2·Cout·patch·pixels flops — so the GEMM work counters still see conv dx.
+TEST(ImplicitIm2col, InputGradCountsItsGemmWork) {
+  obs::Registry::instance().set_enabled(true);
+  const obs::Counter& calls =
+      obs::Registry::instance().counter("tensor.gemm.calls");
+  const obs::Counter& flops =
+      obs::Registry::instance().counter("tensor.gemm.flops");
+  const ConvGeometry g = make_geom(3, 9, 7, 5, 2, 1);
+  const std::int64_t cout = 4, batch = 3;
+  util::Rng rng(600);
+  const Tensor w = Tensor::randn(Shape{cout, g.patch_size()}, rng);
+  const Tensor grad =
+      Tensor::randn(Shape{batch, cout, g.out_h(), g.out_w()}, rng);
+  Tensor dx(Shape{batch, g.channels, g.height, g.width});
+  const std::int64_t calls0 = calls.value();
+  const std::int64_t flops0 = flops.value();
+  conv_input_grad(g, w.data(), cout, grad.data(), batch, dx.data());
+  EXPECT_EQ(calls.value() - calls0, 1);
+  EXPECT_EQ(flops.value() - flops0,
+            2 * cout * g.patch_size() * batch * g.out_h() * g.out_w());
 }
 
 }  // namespace
