@@ -20,14 +20,14 @@ std::int64_t pooled_size(std::int64_t in, std::int64_t kernel,
   return (in - kernel) / stride + 1;
 }
 
-// The 2x2, stride-2 window every production pool uses: two row pointers and
-// the generic loop's add order, 0.0f + a + b + c + d (row-major taps; the
-// leading 0.0f keeps -0 becoming +0), then * inv. Bit-equal to the generic
-// loop for every input.
+// Forward of the 2x2, stride-2 window, shared by AvgPool2d::forward and
+// forward_into so both entry points are bit-identical: two row pointers and
+// a kernel x kernel accumulator's add order, 0.0f + a + b + c + d (row-major
+// taps; the leading 0.0f keeps -0 becoming +0), then * 0.25f.
 SNNSEC_KERNEL_CLONES
 void avg_pool_2x2(const float* px, float* py, std::int64_t planes,
                   std::int64_t h, std::int64_t w, std::int64_t oh,
-                  std::int64_t ow, float inv) {
+                  std::int64_t ow) {
   for (std::int64_t nc = 0; nc < planes; ++nc) {
     const float* plane = px + nc * h * w;
     float* out = py + nc * oh * ow;
@@ -38,19 +38,19 @@ void avg_pool_2x2(const float* px, float* py, std::int64_t planes,
       for (std::int64_t ox = 0; ox < ow; ++ox)
         o[ox] = (0.0f + r0[2 * ox] + r0[2 * ox + 1] + r1[2 * ox] +
                  r1[2 * ox + 1]) *
-                inv;
+                0.25f;
     }
   }
 }
 
 // Backward of avg_pool_2x2 into a zeroed dx: the windows do not overlap,
-// so each covered tap is stored 0.0f + g * inv — what the generic
-// zero-fill-then-+= loop leaves there — and uncovered odd edges stay 0.
-// Not cloned: a v3 clone would fuse this into fma(g, inv, 0.0f), which
+// so each covered tap is stored 0.0f + g * 0.25f — what a zero-fill then
+// += scatter would leave there — and uncovered odd edges stay 0.
+// Not cloned: a v3 clone would fuse this into fma(g, 0.25f, 0.0f), which
 // keeps the sign of a product that underflows to zero (-0, not +0).
 void avg_pool_2x2_backward(const float* pg, float* pd, std::int64_t planes,
                            std::int64_t h, std::int64_t w, std::int64_t oh,
-                           std::int64_t ow, float inv) {
+                           std::int64_t ow) {
   for (std::int64_t nc = 0; nc < planes; ++nc) {
     float* plane = pd + nc * h * w;
     const float* gout = pg + nc * oh * ow;
@@ -59,7 +59,7 @@ void avg_pool_2x2_backward(const float* pg, float* pd, std::int64_t planes,
       float* r1 = r0 + w;
       const float* g = gout + oy * ow;
       for (std::int64_t ox = 0; ox < ow; ++ox) {
-        const float v = 0.0f + g[ox] * inv;
+        const float v = 0.0f + g[ox] * 0.25f;
         r0[2 * ox] = v;
         r0[2 * ox + 1] = v;
         r1[2 * ox] = v;
@@ -69,29 +69,12 @@ void avg_pool_2x2_backward(const float* pg, float* pd, std::int64_t planes,
   }
 }
 
-// Shared accumulation core for AvgPool2d::forward and forward_into — one
-// loop, one summation order, bit-identical results on both entry points.
-void avg_pool_planes(const float* px, float* py, std::int64_t planes,
-                     std::int64_t h, std::int64_t w, std::int64_t oh,
-                     std::int64_t ow, std::int64_t kernel,
-                     std::int64_t stride) {
-  const float inv = 1.0f / static_cast<float>(kernel * kernel);
-  if (kernel == 2 && stride == 2) {
-    avg_pool_2x2(px, py, planes, h, w, oh, ow, inv);
-    return;
-  }
-  for (std::int64_t nc = 0; nc < planes; ++nc) {
-    const float* plane = px + nc * h * w;
-    float* out = py + nc * oh * ow;
-    for (std::int64_t oy = 0; oy < oh; ++oy)
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        float acc = 0.0f;
-        for (std::int64_t ky = 0; ky < kernel; ++ky)
-          for (std::int64_t kx = 0; kx < kernel; ++kx)
-            acc += plane[(oy * stride + ky) * w + ox * stride + kx];
-        out[oy * ow + ox] = acc * inv;
-      }
-  }
+// The one window AvgPool2d implements: every pool the spiking LeNet builds
+// is AvgPool2d(2). Other shapes are rejected after the size check.
+void check_2x2(const AvgPool2d& pool, std::int64_t kernel,
+               std::int64_t stride) {
+  SNNSEC_CHECK(kernel == 2 && stride == 2,
+               pool.name() << ": only the 2x2, stride-2 window is implemented");
 }
 }  // namespace
 
@@ -110,11 +93,11 @@ Tensor AvgPool2d::forward(const Tensor& x, Mode /*mode*/) {
   const std::int64_t oh = pooled_size(h_, kernel_, stride_);
   const std::int64_t ow = pooled_size(w_, kernel_, stride_);
   SNNSEC_CHECK(oh > 0 && ow > 0, name() << ": input smaller than kernel");
+  check_2x2(*this, kernel_, stride_);
   have_cache_ = true;
 
   Tensor y(Shape{n_, c_, oh, ow});
-  avg_pool_planes(x.data(), y.data(), n_ * c_, h_, w_, oh, ow, kernel_,
-                  stride_);
+  avg_pool_2x2(x.data(), y.data(), n_ * c_, h_, w_, oh, ow);
   return y;
 }
 
@@ -128,10 +111,11 @@ void AvgPool2d::forward_into(const Tensor& x, Tensor& y) const {
   const std::int64_t oh = pooled_size(h, kernel_, stride_);
   const std::int64_t ow = pooled_size(w, kernel_, stride_);
   SNNSEC_CHECK(oh > 0 && ow > 0, name() << ": input smaller than kernel");
+  check_2x2(*this, kernel_, stride_);
   if (y.ndim() != 4 || y.dim(0) != n || y.dim(1) != c || y.dim(2) != oh ||
       y.dim(3) != ow)
     y = Tensor(Shape{n, c, oh, ow});
-  avg_pool_planes(x.data(), y.data(), n * c, h, w, oh, ow, kernel_, stride_);
+  avg_pool_2x2(x.data(), y.data(), n * c, h, w, oh, ow);
 }
 
 Tensor AvgPool2d::backward(const Tensor& grad_out) {
@@ -144,24 +128,7 @@ Tensor AvgPool2d::backward(const Tensor& grad_out) {
                name() << "::backward: bad grad shape "
                       << grad_out.shape().to_string());
   Tensor dx(Shape{n_, c_, h_, w_});
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-  const float* pg = grad_out.data();
-  float* pd = dx.data();
-  if (kernel_ == 2 && stride_ == 2) {
-    avg_pool_2x2_backward(pg, pd, n_ * c_, h_, w_, oh, ow, inv);
-    return dx;
-  }
-  for (std::int64_t nc = 0; nc < n_ * c_; ++nc) {
-    float* plane = pd + nc * h_ * w_;
-    const float* gout = pg + nc * oh * ow;
-    for (std::int64_t oy = 0; oy < oh; ++oy)
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        const float g = gout[oy * ow + ox] * inv;
-        for (std::int64_t ky = 0; ky < kernel_; ++ky)
-          for (std::int64_t kx = 0; kx < kernel_; ++kx)
-            plane[(oy * stride_ + ky) * w_ + ox * stride_ + kx] += g;
-      }
-  }
+  avg_pool_2x2_backward(grad_out.data(), dx.data(), n_ * c_, h_, w_, oh, ow);
   return dx;
 }
 

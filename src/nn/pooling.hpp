@@ -1,9 +1,10 @@
 // Spatial pooling layers over [N, C, H, W] tensors.
 //
 // AvgPool2d is the pooling used inside the spiking network (averaging spike
-// counts keeps the surrogate-gradient path smooth); MaxPool2d is provided
-// for the CNN baseline and caches argmax positions for exact backward
-// routing.
+// counts keeps the surrogate-gradient path smooth). It implements only the
+// 2x2, stride-2 window the spiking LeNet uses and rejects any other kernel
+// or stride when it runs. MaxPool2d is provided for the CNN baseline and
+// caches argmax positions for exact backward routing.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -17,7 +18,7 @@ class AvgPool2d final : public Layer {
   tensor::Tensor forward(const tensor::Tensor& x, Mode mode) override;
 
   /// Allocation-free eval forward: pools into `y`, reallocating only when
-  /// the output geometry changes. Shares the accumulation loop with
+  /// the output geometry changes. Shares the pooling kernel with
   /// forward(), so results are bit-identical; does not touch the backward
   /// geometry cache (serving hot path).
   void forward_into(const tensor::Tensor& x, tensor::Tensor& y) const;

@@ -194,20 +194,6 @@ std::uint64_t decode_layers(const Tensor& t) {
   return decode_u64(t, 1, kLayersRecord);
 }
 
-// Parameter floats build_spiking_lenet allocates for `arch`: the weight and
-// bias of its three convs (5x5, 5x5, 3x3) and two linears. Computed in
-// double, exact below 2^53 and with no term that can wrap, so a crafted
-// spec with huge counts yields a huge total instead of overflowing.
-double lenet_parameter_floats(const nn::LenetSpec& arch) {
-  const auto d = [](std::int64_t v) { return static_cast<double>(v); };
-  const double pooled = d(arch.pooled_size());
-  return d(arch.conv1_channels) * (d(arch.in_channels) * 25 + 1) +
-         d(arch.conv2_channels) * (d(arch.conv1_channels) * 25 + 1) +
-         d(arch.conv3_channels) * (d(arch.conv2_channels) * 9 + 1) +
-         d(arch.fc_hidden) * (d(arch.conv3_channels) * pooled * pooled + 1) +
-         d(arch.num_classes) * (d(arch.fc_hidden) + 1);
-}
-
 // Read `path` and validate its format record: checkpoint version and
 // payload digest (truncation, bit-flips). Returns the payload with the
 // format record stripped, the writer's config hash and the digest; arch
@@ -315,7 +301,7 @@ CheckpointPayload load_validated_payload(const std::string& path) {
   for (const auto& [name, t] : out.archive)
     if (name != "meta/arch" && name != "meta/snn" && name != kLayersRecord)
       stored += t.numel();
-  const double implied = lenet_parameter_floats(out.arch);
+  const double implied = spiking_lenet_parameter_floats(out.arch);
   SNNSEC_CHECK(implied == static_cast<double>(stored),
                "model file " << path << ": meta/arch implies " << implied
                              << " parameter floats, the file holds "

@@ -1,5 +1,6 @@
 #include "snn/spiking_lenet.hpp"
 
+#include <array>
 #include <sstream>
 
 #include "nn/activations.hpp"
@@ -10,6 +11,23 @@
 #include "snn/li_readout.hpp"
 
 namespace snnsec::snn {
+
+namespace {
+// conv1, conv2 (5x5) and conv3 (3x3), all "same"-padded; the builder and
+// spiking_lenet_parameter_floats both read the architecture from here.
+std::array<nn::Conv2dSpec, 3> lenet_convs(const nn::LenetSpec& spec) {
+  return {{{spec.in_channels, spec.conv1_channels, 5, 1, 2},
+           {spec.conv1_channels, spec.conv2_channels, 5, 1, 2},
+           {spec.conv2_channels, spec.conv3_channels, 3, 1, 1}}};
+}
+
+// fc1's input width: conv3's maps flattened after the two 2x2 pools. In
+// double so that an unvalidated spec cannot wrap it.
+double lenet_flat(const nn::LenetSpec& spec) {
+  const double pooled = static_cast<double>(spec.pooled_size());
+  return static_cast<double>(spec.conv3_channels) * pooled * pooled;
+}
+}  // namespace
 
 LifParameters SnnConfig::lif_params() const {
   LifParameters p = neuron;
@@ -69,26 +87,23 @@ std::unique_ptr<SpikingClassifier> build_spiking_lenet(
   } else {
     net->emplace<PoissonEncoder>(t, util::Rng(config.poisson_seed));
   }
+  const std::array<nn::Conv2dSpec, 3> convs = lenet_convs(spec);
   // conv1 -> LIF -> pool
-  net->emplace<nn::Conv2d>(
-      nn::Conv2dSpec{spec.in_channels, spec.conv1_channels, 5, 1, 2}, rng);
+  net->emplace<nn::Conv2d>(convs[0], rng);
   spike_fed_conv();
   net->add(make_spiking());
   net->emplace<nn::AvgPool2d>(2);
   // conv2 -> LIF -> pool (input: pooled rate map -> dense by role)
-  net->emplace<nn::Conv2d>(
-      nn::Conv2dSpec{spec.conv1_channels, spec.conv2_channels, 5, 1, 2}, rng);
+  net->emplace<nn::Conv2d>(convs[1], rng);
   net->add(make_spiking());
   net->emplace<nn::AvgPool2d>(2);
   // conv3 -> LIF (input: pooled rate map -> dense by role)
-  net->emplace<nn::Conv2d>(
-      nn::Conv2dSpec{spec.conv2_channels, spec.conv3_channels, 3, 1, 1}, rng);
+  net->emplace<nn::Conv2d>(convs[2], rng);
   net->add(make_spiking());
   // classifier head
   net->emplace<nn::Flatten>();
-  const std::int64_t flat =
-      spec.conv3_channels * spec.pooled_size() * spec.pooled_size();
-  net->emplace<nn::Linear>(flat, spec.fc_hidden, rng);
+  net->emplace<nn::Linear>(static_cast<std::int64_t>(lenet_flat(spec)),
+                           spec.fc_hidden, rng);
   spike_fed_fc();
   net->add(make_spiking());
   net->emplace<nn::Linear>(spec.fc_hidden, spec.num_classes, rng);
@@ -109,6 +124,16 @@ std::unique_ptr<SpikingClassifier> build_spiking_lenet(
        << config.surrogate.to_string() << ")";
   return std::make_unique<SpikingClassifier>(std::move(net), t,
                                              spec.num_classes, desc.str());
+}
+
+double spiking_lenet_parameter_floats(const nn::LenetSpec& spec) {
+  const auto d = [](std::int64_t v) { return static_cast<double>(v); };
+  double floats = 0.0;
+  for (const nn::Conv2dSpec& c : lenet_convs(spec))
+    floats += d(c.out_channels) *
+              (d(c.in_channels) * d(c.kernel) * d(c.kernel) + 1);
+  return floats + d(spec.fc_hidden) * (lenet_flat(spec) + 1) +
+         d(spec.num_classes) * (d(spec.fc_hidden) + 1);
 }
 
 }  // namespace snnsec::snn

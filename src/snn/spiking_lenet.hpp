@@ -52,4 +52,10 @@ struct SnnConfig {
 std::unique_ptr<SpikingClassifier> build_spiking_lenet(
     const nn::LenetSpec& spec, const SnnConfig& config, util::Rng& rng);
 
+/// Parameter floats (weights and biases) build_spiking_lenet allocates for
+/// `spec`, counted from the same layer list it builds. Computed in double,
+/// exact below 2^53 and with no term that can wrap, so an unvalidated spec
+/// with huge counts yields a huge total instead of overflowing.
+double spiking_lenet_parameter_floats(const nn::LenetSpec& spec);
+
 }  // namespace snnsec::snn

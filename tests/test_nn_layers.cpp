@@ -3,6 +3,7 @@
 
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -112,8 +113,9 @@ TEST(AvgPool2d, AveragesWindows) {
   EXPECT_FLOAT_EQ(y[1], 6.5f);
 }
 
-// The generic kernel x kernel loops AvgPool2d runs for every window shape
-// but 2x2/stride-2, whose fast path must match them bit for bit.
+// A generic kernel x kernel accumulate (forward) and zero-fill-then-+=
+// scatter (backward): AvgPool2d's 2x2, stride-2 kernels must match them bit
+// for bit.
 Tensor generic_avg_pool(const Tensor& x, std::int64_t kernel,
                         std::int64_t stride) {
   const std::int64_t h = x.dim(2);
@@ -182,33 +184,36 @@ Tensor pool_operand(const Shape& shape, util::Rng& rng) {
   return t;
 }
 
-void expect_pool_matches_generic(std::int64_t kernel, std::int64_t stride,
-                                 const Shape& in, util::Rng& rng) {
-  SCOPED_TRACE("k=" + std::to_string(kernel) + " s=" +
-               std::to_string(stride) + " in=" + in.to_string());
-  AvgPool2d pool(kernel, stride);
+void expect_pool_matches_generic(const Shape& in, util::Rng& rng) {
+  SCOPED_TRACE("in=" + in.to_string());
+  AvgPool2d pool(2);
   const Tensor x = pool_operand(in, rng);
-  const Tensor want = generic_avg_pool(x, kernel, stride);
+  const Tensor want = generic_avg_pool(x, 2, 2);
   EXPECT_TRUE(same_bits(pool.forward(x, Mode::kAttack), want));
   Tensor y;
   pool.forward_into(x, y);
   EXPECT_TRUE(same_bits(y, want));
   const Tensor g = pool_operand(want.shape(), rng);
   EXPECT_TRUE(same_bits(pool.backward(g),
-                        generic_avg_pool_backward(g, in, kernel, stride)));
+                        generic_avg_pool_backward(g, in, 2, 2)));
 }
 
-TEST(AvgPool2d, FastAndGenericPathsMatchBitForBit) {
+TEST(AvgPool2d, MatchesGenericLoopBitForBit) {
   util::Rng rng(31);
   for (const Shape& in : {Shape{1, 1, 2, 2}, Shape{2, 3, 6, 8},
                           Shape{2, 3, 7, 9}, Shape{3, 2, 5, 4},
-                          Shape{1, 4, 28, 28}, Shape{2, 1, 14, 15}}) {
-    expect_pool_matches_generic(2, 2, in, rng);  // the 2x2 fast path
-    expect_pool_matches_generic(3, 2, in.dim(2) >= 3 && in.dim(3) >= 3
-                                          ? in
-                                          : Shape{1, 1, 3, 3},
-                                rng);           // overlapping windows
-    expect_pool_matches_generic(2, 1, in, rng);  // overlapping windows
+                          Shape{1, 4, 28, 28}, Shape{2, 1, 14, 15}})
+    expect_pool_matches_generic(in, rng);
+}
+
+TEST(AvgPool2d, RejectsWindowsOtherThan2x2Stride2) {
+  const Tensor x(Shape{1, 1, 6, 6});
+  Tensor y;
+  for (const auto& [kernel, stride] :
+       {std::pair<std::int64_t, std::int64_t>{3, 2}, {2, 1}, {3, 3}}) {
+    AvgPool2d pool(kernel, stride);
+    EXPECT_THROW(pool.forward(x, Mode::kEval), util::Error);
+    EXPECT_THROW(pool.forward_into(x, y), util::Error);
   }
 }
 

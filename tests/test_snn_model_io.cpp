@@ -232,16 +232,58 @@ constexpr bool kCanCapAddressSpace = true;
 
 // Cap this process's address space at its current size plus 1 GiB, so a
 // load that tries to allocate GiBs fails with bad_alloc instead of
-// exhausting the machine.
-void cap_address_space() {
+// exhausting the machine. False when the cap could not be applied.
+bool cap_address_space() {
   std::ifstream statm("/proc/self/statm");
   long pages = 0;
-  statm >> pages;
+  if (!(statm >> pages)) return false;
   const rlim_t cap = static_cast<rlim_t>(pages) *
                          static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
                      (rlim_t{1} << 30);
   const rlimit limit{cap, cap};
-  setrlimit(RLIMIT_AS, &limit);
+  return setrlimit(RLIMIT_AS, &limit) == 0;
+}
+
+// Runs death tests in the threadsafe style (the child re-executes the
+// binary instead of forking a process that may already run worker threads)
+// for one scope, then restores the style the binary had.
+class ThreadsafeDeathTests {
+ public:
+  ThreadsafeDeathTests() : saved_(style()) { set_style("threadsafe"); }
+  ~ThreadsafeDeathTests() { set_style(saved_); }
+  ThreadsafeDeathTests(const ThreadsafeDeathTests&) = delete;
+  ThreadsafeDeathTests& operator=(const ThreadsafeDeathTests&) = delete;
+
+ private:
+#ifdef GTEST_FLAG_SET
+  static std::string style() { return GTEST_FLAG_GET(death_test_style); }
+  static void set_style(const std::string& s) {
+    GTEST_FLAG_SET(death_test_style, s);
+  }
+#else
+  static std::string style() {
+    return ::testing::GTEST_FLAG(death_test_style);
+  }
+  static void set_style(const std::string& s) {
+    ::testing::GTEST_FLAG(death_test_style) = s;
+  }
+#endif
+  std::string saved_;
+};
+
+// The count the loader checks a file's tensors against is the network's.
+TEST(ModelIo, ParameterFloatCountMatchesBuiltNetwork) {
+  Fixture fx;
+  for (const nn::LenetSpec& arch :
+       {fx.arch, nn::LenetSpec{}, nn::LenetSpec{}.scaled(0.5)}) {
+    util::Rng rng(5);
+    const auto model = build_spiking_lenet(arch, fx.cfg, rng);
+    std::int64_t floats = 0;
+    for (const nn::Parameter* p : model->parameters())
+      floats += p->value.numel();
+    EXPECT_EQ(spiking_lenet_parameter_floats(arch),
+              static_cast<double>(floats));
+  }
 }
 
 TEST(ModelIo, RejectsArchWhoseParametersOutgrowTheFile) {
@@ -252,16 +294,13 @@ TEST(ModelIo, RejectsArchWhoseParametersOutgrowTheFile) {
   const std::string path = temp_path("snnsec_model_io_huge_arch.snnm");
   save_spiking_lenet(path, *fx.model, fx.arch, fx.cfg);
   craft_slot(path, "meta/arch", 5, 16777216.0f);
-  // A forked child under an address-space cap, so a regression aborts the
-  // child on bad_alloc rather than allocating GiBs here.
-#ifdef GTEST_FLAG_SET
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-#else
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-#endif
+  // A child under an address-space cap, so a regression aborts the child
+  // on bad_alloc rather than allocating GiBs here. Exit code 2: the cap
+  // could not be applied.
+  const ThreadsafeDeathTests style;
   EXPECT_EXIT(
       {
-        if (kCanCapAddressSpace) cap_address_space();
+        if (kCanCapAddressSpace && !cap_address_space()) std::exit(2);
         bool threw = false;
         try {
           load_spiking_lenet(path);

@@ -489,6 +489,7 @@ TEST(ImplicitIm2col, InputGradOfConv2dMatchesMaterializedLowering) {
 // conv_input_grad counts as the Wᵀ G GEMM it replaces — one call of
 // 2·Cout·patch·pixels flops — so the GEMM work counters still see conv dx.
 TEST(ImplicitIm2col, InputGradCountsItsGemmWork) {
+  const bool was_enabled = obs::Registry::enabled();
   obs::Registry::instance().set_enabled(true);
   const obs::Counter& calls =
       obs::Registry::instance().counter("tensor.gemm.calls");
@@ -507,6 +508,7 @@ TEST(ImplicitIm2col, InputGradCountsItsGemmWork) {
   EXPECT_EQ(calls.value() - calls0, 1);
   EXPECT_EQ(flops.value() - flops0,
             2 * cout * g.patch_size() * batch * g.out_h() * g.out_w());
+  obs::Registry::instance().set_enabled(was_enabled);
 }
 
 }  // namespace
