@@ -68,7 +68,6 @@ namespace {
 
 using namespace snnsec;
 using bench::closed_loop;
-using bench::LoadResult;
 using bench::write_load;
 using tensor::Tensor;
 
@@ -207,8 +206,8 @@ int run(int argc, char** argv) {
   // ---- A. healthy-path overhead: supervision OFF vs ON, identical load.
   const std::int64_t clients = 2;
   const std::int64_t per_client = smoke ? 30 : 100;
-  LoadResult off_load;
-  LoadResult on_load;
+  fleet::LoadReport off_load;
+  fleet::LoadReport on_load;
   std::int64_t steady_allocs = 0;
   double p99_ratio = 0.0;
   // One retry of the pair: on a loaded single-core CI box a stray

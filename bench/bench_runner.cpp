@@ -1,8 +1,8 @@
 // bench_runner: the hot-path performance trajectory, recorded.
 //
 // Times the kernels every experiment in the paper reduces to — GEMM
-// (spike-sparse and dense LeNet-5 shapes), conv forward/backward, a full SNN
-// forward at T in {10, 50}, and a 10-step PGD iteration — and emits
+// (dense and event kernels on LeNet-5 shapes), conv forward/backward, a
+// full SNN forward at T in {10, 50}, and a 10-step PGD iteration — and emits
 // BENCH_hotpath.json (median-of-k ns/op plus GFLOP/s where flops are
 // well-defined) so the perf trajectory is CI-diffable instead of anecdotal.
 //
@@ -117,8 +117,7 @@ Tensor sparse_image(const Shape& shape, util::Rng& rng) {
 }
 
 Result bench_gemm(const std::string& name, int reps, int warmup,
-                  const Tensor& a, const Tensor& b, Trans tb,
-                  tensor::SparsityHint hint) {
+                  const Tensor& a, const Tensor& b, Trans tb) {
   const std::int64_t m = a.dim(0), k = a.dim(1);
   const std::int64_t n = (tb == Trans::kNo) ? b.dim(1) : b.dim(0);
   Tensor c(Shape{m, n});
@@ -126,7 +125,7 @@ Result bench_gemm(const std::string& name, int reps, int warmup,
   r.name = name;
   r.reps = reps;
   r.ns_op = median_ns(reps, warmup, [&] {
-    tensor::gemm(Trans::kNo, tb, 1.0f, a, b, 0.0f, c, hint);
+    tensor::gemm(Trans::kNo, tb, 1.0f, a, b, 0.0f, c);
   });
   r.gflops = (2.0 * static_cast<double>(m) * static_cast<double>(n) *
               static_cast<double>(k)) /
@@ -231,57 +230,45 @@ int run(int argc, char** argv) {
   const int warmup = 2;
   std::vector<Result> results;
 
-  // ---- GEMM: dense and spike-sparse LeNet-5 fc1 (batch 64, 400 -> 120),
-  // exactly the Linear::forward layout (B = W, transposed).
+  // ---- GEMM: dense LeNet-5 fc1 (batch 64, 400 -> 120), exactly the
+  // Linear::forward layout (B = W, transposed).
   util::Rng rng(42);
   const Tensor fc1_w = Tensor::randn(Shape{120, 400}, rng);
   const Tensor fc1_dense = Tensor::randn(Shape{64, 400}, rng);
-  const Tensor fc1_spikes = Tensor::bernoulli(Shape{64, 400}, rng, 0.1);
 
   const Result ref = bench_gemm_reference("gemm_reference_fc1", reps, warmup,
                                           fc1_dense, fc1_w, Trans::kYes);
-  const Result dense =
-      bench_gemm("gemm_dense_fc1", reps, warmup, fc1_dense, fc1_w,
-                 Trans::kYes, tensor::SparsityHint::kDense);
-  const Result sparse =
-      bench_gemm("gemm_sparse_fc1", reps, warmup, fc1_spikes, fc1_w,
-                 Trans::kYes, tensor::SparsityHint::kSparse);
+  const Result dense = bench_gemm("gemm_dense_fc1", reps, warmup, fc1_dense,
+                                  fc1_w, Trans::kYes);
   // A square shape big enough to stress all three cache-block loops.
   const Tensor sq_a = Tensor::randn(Shape{384, 384}, rng);
   const Tensor sq_b = Tensor::randn(Shape{384, 384}, rng);
-  const Result square =
-      bench_gemm("gemm_dense_384", quick ? 3 : reps, warmup, sq_a, sq_b,
-                 Trans::kNo, tensor::SparsityHint::kDense);
+  const Result square = bench_gemm("gemm_dense_384", quick ? 3 : reps, warmup,
+                                   sq_a, sq_b, Trans::kNo);
   results.push_back(ref);
   results.push_back(dense);
-  results.push_back(sparse);
   results.push_back(square);
   const double fc1_speedup = ref.ns_op / dense.ns_op;
   std::printf("gemm fc1: reference %.0f ns, blocked %.0f ns  (%.2fx)\n",
               ref.ns_op, dense.ns_op, fc1_speedup);
 
   // ---- Per-firing-rate kernel curve: the fc1 shape at spike densities
-  // 5/10/20/35/50%, zero-skip (sparse) and event-list kernels against the
-  // rate-independent dense row above. This is the curve that justifies the
-  // role-declared kernel resolution: at SNN firing rates (5-20%) the event
-  // kernel wins outright, and the crossover is visible in the tail rates.
+  // 5/10/20/35/50%, the event-list kernel against the rate-independent
+  // dense row above. This is the curve that justifies building spike-fed
+  // layers with event inputs: at SNN firing rates (5-20%) the event kernel
+  // wins outright, and its margin narrows in the tail rates.
   double events_speedup = 0.0;
   for (const int rate : {5, 10, 20, 35, 50}) {
     char suffix[8];
     std::snprintf(suffix, sizeof suffix, "_r%02d", rate);
     const Tensor spikes =
         Tensor::bernoulli(Shape{64, 400}, rng, rate / 100.0);
-    const Result rs =
-        bench_gemm("gemm_sparse_fc1" + std::string(suffix), reps, warmup,
-                   spikes, fc1_w, Trans::kYes, tensor::SparsityHint::kSparse);
     const Result re = bench_events("gemm_events_fc1" + std::string(suffix),
                                    reps, warmup, spikes, fc1_w);
-    std::printf(
-        "gemm fc1 @%2d%%: dense %.0f ns, sparse %.0f ns, events %.0f ns "
-        "(events %.2fx dense)\n",
-        rate, dense.ns_op, rs.ns_op, re.ns_op, dense.ns_op / re.ns_op);
+    std::printf("gemm fc1 @%2d%%: dense %.0f ns, events %.0f ns (events "
+                "%.2fx dense)\n",
+                rate, dense.ns_op, re.ns_op, dense.ns_op / re.ns_op);
     if (rate == 10) events_speedup = dense.ns_op / re.ns_op;
-    results.push_back(rs);
     results.push_back(re);
   }
 
@@ -370,13 +357,13 @@ int run(int argc, char** argv) {
   }
 
   // ---- Event-driven conv forward: the same conv2 shape fed 10% spikes
-  // through the event-resolved kernel (what the spiking stack runs in eval),
+  // through the event-input layer (what the spiking stack runs in eval),
   // plus the event path's own steady-state zero-alloc assertion — lists,
   // packed weights, and the Ct buffer must all come from the arena.
   std::int64_t event_allocs = 0;
   {
-    nn::Conv2d conv_ev(nn::Conv2dSpec{6, 16, 5, 1, 2}, rng);
-    conv_ev.set_input_hint(tensor::SparsityHint::kEvents);
+    nn::Conv2d conv_ev(nn::Conv2dSpec{6, 16, 5, 1, 2}, rng, /*bias=*/true,
+                       nn::InputKind::kEvents);
     const Tensor sx = Tensor::bernoulli(Shape{8, 6, 14, 14}, rng, 0.1);
     Tensor y;
     Result r;

@@ -64,7 +64,6 @@ using namespace snnsec;
 using bench::closed_loop;
 using bench::curve_point;
 using bench::CurvePoint;
-using bench::LoadResult;
 using bench::open_loop;
 using bench::write_load;
 using tensor::Tensor;
@@ -125,7 +124,7 @@ int run(int argc, char** argv) {
   // ---- closed loop.
   const std::int64_t clients = smoke ? 2 : 4;
   const std::int64_t per_client = smoke ? 25 : 100;
-  const LoadResult closed =
+  const fleet::LoadReport closed =
       closed_loop(server, bundle.test.images, clients, per_client);
   std::printf("closed loop: %lld clients x %lld -> %.1f req/s | p50 %.0fus "
               "p99 %.0fus | mean batch %.2f\n",
@@ -139,15 +138,15 @@ int run(int argc, char** argv) {
   const std::int64_t deadline_us =
       std::max<std::int64_t>(500, static_cast<std::int64_t>(closed.p50_us));
   const std::int64_t open_total = smoke ? 60 : 300;
-  const LoadResult open = open_loop(server, bundle.test.images, open_total,
-                                    rate, deadline_us, clients * 2);
+  const fleet::LoadReport open = open_loop(
+      server, bundle.test.images, open_total, rate, deadline_us, clients * 2);
   std::printf("open loop: %.0f req/s offered, deadline %lldus -> %.1f req/s "
               "| p99 %.0fus | truncated %lld/%lld | shed %lld\n",
               rate, static_cast<long long>(deadline_us),
               open.throughput_rps, open.p99_us,
               static_cast<long long>(open.truncated),
               static_cast<long long>(open.completed),
-              static_cast<long long>(open.shed));
+              static_cast<long long>(open.offered - open.completed));
 
   // ---- accuracy vs truncation depth (the anytime dial).
   // 1,2,3,4 then every other step: dense enough to locate the accuracy

@@ -1,17 +1,14 @@
 // Shared load-generation helpers for the serving benches (bench_serve,
-// bench_chaos): closed/open-loop drivers, latency percentiles, and the
-// accuracy-vs-truncation curve point. The client loops themselves live in
-// the reusable fleet loadgen engine (src/fleet/loadgen.hpp, also behind
-// the snnsec_loadgen CLI); this header keeps the bench-facing result
-// shapes and JSON emission so each bench stays a single self-contained
-// binary with its own operator-new hook.
+// bench_chaos): closed/open-loop drivers and the accuracy-vs-truncation
+// curve point. The client loops and the result they fill in
+// (fleet::LoadReport) live in the reusable fleet loadgen engine
+// (src/fleet/loadgen.hpp, also behind the snnsec_loadgen CLI); this header
+// keeps the bench-side curve point and JSON emission so each bench stays a
+// single self-contained binary with its own operator-new hook.
 #pragma once
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <vector>
 
 #include "data/provider.hpp"
 #include "fleet/loadgen.hpp"
@@ -21,78 +18,34 @@
 
 namespace snnsec::bench {
 
-using Clock = std::chrono::steady_clock;
-
-inline double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t idx = static_cast<std::size_t>(pos + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
-struct LoadResult {
-  std::int64_t offered = 0;
-  std::int64_t completed = 0;
-  std::int64_t shed = 0;
-  std::int64_t truncated = 0;
-  double wall_s = 0.0;
-  double throughput_rps = 0.0;
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  double p99_us = 0.0;
-  double mean_batch = 0.0;
-};
-
 struct CurvePoint {
   std::int64_t max_steps = 0;
   double accuracy = 0.0;
   double mean_latency_us = 0.0;
 };
 
-inline void finish_percentiles(LoadResult& r, std::vector<double>& latencies) {
-  std::sort(latencies.begin(), latencies.end());
-  r.p50_us = percentile(latencies, 0.50);
-  r.p95_us = percentile(latencies, 0.95);
-  r.p99_us = percentile(latencies, 0.99);
-}
-
-inline LoadResult from_report(const fleet::LoadReport& rep) {
-  LoadResult out;
-  out.offered = rep.offered;
-  out.completed = rep.completed;
-  // Bench semantics: anything not completed was shed, whichever admission
-  // layer said no.
-  out.shed = rep.offered - rep.completed;
-  out.truncated = rep.truncated;
-  out.wall_s = rep.wall_s;
-  out.throughput_rps = rep.throughput_rps;
-  out.p50_us = rep.p50_us;
-  out.p95_us = rep.p95_us;
-  out.p99_us = rep.p99_us;
-  out.mean_batch = rep.mean_batch;
-  return out;
-}
-
 /// Closed loop: `clients` threads each fire `per_client` back-to-back
 /// requests cycling through the test images.
-inline LoadResult closed_loop(serve::Server& server,
-                              const tensor::Tensor& images,
-                              std::int64_t clients, std::int64_t per_client) {
+inline fleet::LoadReport closed_loop(serve::Server& server,
+                                     const tensor::Tensor& images,
+                                     std::int64_t clients,
+                                     std::int64_t per_client) {
   fleet::ServerTarget target(server);
   fleet::LoadSpec spec;
   spec.mode = fleet::LoadSpec::Mode::kClosed;
   spec.total = clients * per_client;
   spec.clients = clients;
-  return from_report(fleet::run_load(target, images, spec));
+  return fleet::run_load(target, images, spec);
 }
 
 /// Open loop: arrivals paced at `rate_rps` across a submitter pool, each
 /// request carrying `deadline_us`. When the offered rate exceeds capacity
 /// the submitters saturate and deadlines start truncating the time window.
-inline LoadResult open_loop(serve::Server& server,
-                            const tensor::Tensor& images, std::int64_t total,
-                            double rate_rps, std::int64_t deadline_us,
-                            std::int64_t submitters) {
+inline fleet::LoadReport open_loop(serve::Server& server,
+                                   const tensor::Tensor& images,
+                                   std::int64_t total, double rate_rps,
+                                   std::int64_t deadline_us,
+                                   std::int64_t submitters) {
   fleet::ServerTarget target(server);
   fleet::LoadSpec spec;
   spec.mode = fleet::LoadSpec::Mode::kOpen;
@@ -100,7 +53,7 @@ inline LoadResult open_loop(serve::Server& server,
   spec.clients = submitters;
   spec.rate_rps = rate_rps;
   spec.options.deadline_us = deadline_us;
-  return from_report(fleet::run_load(target, images, spec));
+  return fleet::run_load(target, images, spec);
 }
 
 /// Serve the whole test split sequentially at a fixed step budget.
@@ -127,8 +80,10 @@ inline CurvePoint curve_point(serve::Server& server,
   return p;
 }
 
-inline void write_load(std::FILE* f, const char* key, const LoadResult& r,
-                       const char* extra) {
+/// One load run as a JSON member. "shed" is everything offered but not
+/// completed, whichever admission layer said no.
+inline void write_load(std::FILE* f, const char* key,
+                       const fleet::LoadReport& r, const char* extra) {
   std::fprintf(f,
                "  \"%s\": {\"offered\": %lld, \"completed\": %lld, "
                "\"shed\": %lld, \"truncated\": %lld, \"wall_s\": %.3f, "
@@ -136,7 +91,7 @@ inline void write_load(std::FILE* f, const char* key, const LoadResult& r,
                "%.0f, \"p99_us\": %.0f, \"mean_batch\": %.2f%s},\n",
                key, static_cast<long long>(r.offered),
                static_cast<long long>(r.completed),
-               static_cast<long long>(r.shed),
+               static_cast<long long>(r.offered - r.completed),
                static_cast<long long>(r.truncated), r.wall_s,
                r.throughput_rps, r.p50_us, r.p95_us, r.p99_us, r.mean_batch,
                extra);

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "nn/init.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/spike_events.hpp"
 #include "util/checked.hpp"
@@ -22,9 +21,10 @@ using tensor::Shape;
 using tensor::Tensor;
 using tensor::Trans;
 
-Conv2d::Conv2d(Conv2dSpec spec, util::Rng& rng, bool bias)
+Conv2d::Conv2d(Conv2dSpec spec, util::Rng& rng, bool bias, InputKind input)
     : spec_(spec),
       has_bias_(bias),
+      input_(input),
       weight_("weight",
               kaiming_uniform(
                   Shape{spec.out_channels,
@@ -57,29 +57,6 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
   Tensor y;
   forward_into(x, y, mode);
   return y;
-}
-
-void Conv2d::set_input_hint(tensor::SparsityHint hint) {
-  SNNSEC_CHECK(!kernel_resolved_,
-               name() << ": set_input_hint after the layer has run — kernel "
-                         "resolution is sticky (one kernel per operand role "
-                         "for the layer's lifetime); build-time declaration "
-                         "only");
-  SNNSEC_CHECK(hint != tensor::SparsityHint::kSparse,
-               name() << ": kSparse is meaningless for conv — the im2col "
-                         "lowering puts the spike sparsity in the B operand "
-                         "where the zero-skip A kernel cannot reach it; "
-                         "declare kEvents instead");
-  input_hint_ = hint;
-}
-
-void Conv2d::resolve_kernel() {
-  if (kernel_resolved_) return;
-  kernel_resolved_ = true;
-  if (input_hint_ == tensor::SparsityHint::kEvents)
-    SNNSEC_COUNTER_ADD("tensor.gemm.kernel.events", 1);
-  else
-    SNNSEC_COUNTER_ADD("tensor.gemm.kernel.dense", 1);
 }
 
 /// Event-driven eval forward: scatter-accumulate value-scaled W^T rows into
@@ -139,8 +116,7 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, Mode mode) {
   const std::int64_t ow = g.out_w();
   const std::int64_t ohw = oh * ow;
   const std::int64_t patch = g.patch_size();
-  resolve_kernel();
-  if (!cache_enabled(mode) && input_hint_ == tensor::SparsityHint::kEvents) {
+  if (!cache_enabled(mode) && input_ == InputKind::kEvents) {
     // Event path is eval-only. Train and attack forwards keep the dense
     // lowering, so attack numerics stay bit-identical to train's. The choice
     // is fixed per (layer, mode) — no data probe, no mid-run flips.
@@ -157,9 +133,8 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, Mode mode) {
 
   // raw = W [Cout, patch] x columns [patch, N*OHW] -> [Cout, N*OHW], with
   // the columns packed straight from x inside the GEMM. op(A) is the WEIGHT
-  // matrix — dense by role whatever the input hint says — so the layer's
-  // event resolution is applied above by switching the lowering itself, not
-  // by re-tagging this operand.
+  // matrix, dense whatever the layer's input kind, so an event-input layer
+  // switches the lowering itself above instead.
   float* praw =
       ws.alloc<float>(static_cast<std::size_t>(spec_.out_channels * n * ohw));
   tensor::gemm_conv_raw(Trans::kNo, Trans::kNo, spec_.out_channels, 1.0f,

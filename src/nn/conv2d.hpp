@@ -9,13 +9,14 @@
 // [Cin*KH*KW, N*OH*OW] column matrix of the whole batch, whose GEMM panels
 // are packed straight from the input (tensor::gemm_conv_raw) — no column
 // matrix is ever built — then a fused bias-add scatters the rows back into
-// batch order. Eval mode may instead resolve to the event path (spike
-// inputs, conv_events). A train backward packs columnsᵀ from a cached copy
-// of the input for the weight gradient; every backward computes the input
-// gradient col2im(Wᵀ·G) per sample straight into the image, reading the
-// upstream gradient in place (tensor::conv_input_grad, no column matrix)
-// — the input gradient is what white-box attacks differentiate through,
-// and an attack backward computes nothing else.
+// batch order. An InputKind::kEvents layer runs its eval forwards on the
+// event path instead (spike inputs, conv_events). A train backward packs
+// columnsᵀ from a cached copy of the input for the weight gradient; every
+// backward computes the input gradient col2im(Wᵀ·G) per sample straight
+// into the image, reading the upstream gradient in place
+// (tensor::conv_input_grad, no column matrix) — the input gradient is what
+// white-box attacks differentiate through, and an attack backward computes
+// nothing else.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -35,7 +36,13 @@ struct Conv2dSpec {
 
 class Conv2d final : public Layer {
  public:
-  Conv2d(Conv2dSpec spec, util::Rng& rng, bool bias = true);
+  /// `input` picks the eval forward's kernel for the layer's life: kDense
+  /// (implicit im2col + blocked GEMM) or kEvents (scatter of W rows per
+  /// input spike). Train and attack forwards always take the dense lowering,
+  /// so attack numerics stay bit-identical to the train-mode input gradient:
+  /// one fixed kernel per (layer, mode), never data-probed.
+  Conv2d(Conv2dSpec spec, util::Rng& rng, bool bias = true,
+         InputKind input = InputKind::kDense);
 
   tensor::Tensor forward(const tensor::Tensor& x, Mode mode) override;
 
@@ -57,18 +64,7 @@ class Conv2d final : public Layer {
   Parameter& weight() { return weight_; }
   Parameter& bias() { return bias_; }
 
-  /// Declare how this layer's input operand is populated. Conv resolves to
-  /// kDense (implicit im2col + blocked GEMM, the default) or kEvents
-  /// (scatter of W rows per input spike, spike inputs); kSparse is
-  /// rejected — in the im2col lowering the spike sparsity sits in the B
-  /// operand where the zero-skip row kernel cannot reach it. Resolution is
-  /// STICKY (must precede the first forward, never flips afterwards; throws
-  /// util::Error otherwise). The event path runs in eval mode only: train
-  /// and attack forwards keep the dense lowering so attack numerics stay
-  /// bit-identical to the train-mode input gradient — still one fixed
-  /// kernel per (layer, mode), never data-probed.
-  void set_input_hint(tensor::SparsityHint hint);
-  tensor::SparsityHint input_hint() const { return input_hint_; }
+  InputKind input_kind() const { return input_; }
 
   /// Output spatial size for a given input size.
   std::int64_t out_size(std::int64_t in_size) const {
@@ -77,14 +73,12 @@ class Conv2d final : public Layer {
 
  private:
   tensor::ConvGeometry geometry(std::int64_t h, std::int64_t w) const;
-  void resolve_kernel();  ///< first-forward latch + tensor.gemm.kernel metric
   void forward_events(const tensor::Tensor& x, tensor::Tensor& y,
                       const tensor::ConvGeometry& g);
 
   Conv2dSpec spec_;
   bool has_bias_;
-  tensor::SparsityHint input_hint_ = tensor::SparsityHint::kDense;
-  bool kernel_resolved_ = false;  ///< set at first forward; hint frozen after
+  InputKind input_;
   Parameter weight_;  // [Cout, Cin*K*K]
   Parameter bias_;    // [Cout]
 

@@ -40,6 +40,12 @@ constexpr bool cache_enabled(Mode m) { return m != Mode::kEval; }
 constexpr bool stochastic_enabled(Mode m) { return m == Mode::kTrain; }
 constexpr bool param_grads_enabled(Mode m) { return m == Mode::kTrain; }
 
+/// How a GEMM-bearing layer's (Linear, Conv2d) input is populated, fixed
+/// at construction from the operand's role, never probed from its data:
+///  kDense  — any values: the blocked dense kernel (tensor/gemm.hpp).
+///  kEvents — spike slabs: the event kernels (tensor/spike_events.hpp).
+enum class InputKind { kDense, kEvents };
+
 class Layer {
  public:
   virtual ~Layer() = default;

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "nn/init.hpp"
-#include "obs/metrics.hpp"
 #include "tensor/ops.hpp"
 #include "util/checked.hpp"
 #include "util/workspace.hpp"
@@ -15,10 +14,11 @@ using tensor::Tensor;
 using tensor::Trans;
 
 Linear::Linear(std::int64_t in_features, std::int64_t out_features,
-               util::Rng& rng, bool bias)
+               util::Rng& rng, bool bias, InputKind input)
     : in_features_(in_features),
       out_features_(out_features),
       has_bias_(bias),
+      input_(input),
       weight_("weight",
               kaiming_uniform(Shape{out_features, in_features}, in_features,
                               rng)),
@@ -41,33 +41,6 @@ Tensor Linear::forward(const Tensor& x, Mode mode) {
   return y;
 }
 
-void Linear::set_input_hint(tensor::SparsityHint hint) {
-  SNNSEC_CHECK(!kernel_resolved_,
-               "Linear::set_input_hint after the layer has run — kernel "
-               "resolution is sticky (one kernel per operand role for the "
-               "layer's lifetime); build-time declaration only");
-  input_hint_ = hint;
-}
-
-void Linear::resolve_kernel() {
-  if (kernel_resolved_) return;
-  kernel_resolved_ = true;
-  // One increment per layer at resolution time: the counters expose which
-  // kernels the deployed model actually resolved to, without any per-call
-  // hot-path cost.
-  switch (input_hint_) {
-    case tensor::SparsityHint::kDense:
-      SNNSEC_COUNTER_ADD("tensor.gemm.kernel.dense", 1);
-      break;
-    case tensor::SparsityHint::kSparse:
-      SNNSEC_COUNTER_ADD("tensor.gemm.kernel.sparse", 1);
-      break;
-    case tensor::SparsityHint::kEvents:
-      SNNSEC_COUNTER_ADD("tensor.gemm.kernel.events", 1);
-      break;
-  }
-}
-
 void Linear::add_bias(Tensor& y) const {
   if (!has_bias_) return;
   const std::int64_t n = y.dim(0);
@@ -82,14 +55,13 @@ void Linear::forward_into(const Tensor& x, Tensor& y) {
   SNNSEC_CHECK(x.ndim() == 2 && x.dim(1) == in_features_,
                "Linear(" << in_features_ << "->" << out_features_
                          << "): bad input shape " << x.shape().to_string());
-  resolve_kernel();
   const std::int64_t n = x.dim(0);
   // Dim-wise compare so a warm steady state never reallocates.
   if (y.ndim() != 2 || y.dim(0) != n || y.dim(1) != out_features_)
     y = Tensor(Shape{n, out_features_});
   // beta = 0 is the kernels' overwrite path, so stale y contents are
   // ignored and the result is bit-identical to matmul into a fresh tensor.
-  if (input_hint_ == tensor::SparsityHint::kEvents) {
+  if (input_ == InputKind::kEvents) {
     // Compress the spike operand and event-accumulate weight rows. Building
     // the lists here (when no producer handed them over) costs one scan of
     // x and is bit-identical to the producer-built path: both emit events
@@ -102,21 +74,19 @@ void Linear::forward_into(const Tensor& x, Tensor& y) {
                         weight_.value.data(), in_features_, 0.0f, y.data(),
                         out_features_);
   } else {
-    tensor::gemm(Trans::kNo, Trans::kYes, 1.0f, x, weight_.value, 0.0f, y,
-                 input_hint_);
+    tensor::gemm(Trans::kNo, Trans::kYes, 1.0f, x, weight_.value, 0.0f, y);
   }
   add_bias(y);
 }
 
 void Linear::forward_into_events(const tensor::EventRows& ev, Tensor& y) {
-  SNNSEC_CHECK(input_hint_ == tensor::SparsityHint::kEvents,
-               "Linear::forward_into_events on a layer resolved to a dense "
-               "kernel — the caller-built event lists would be dead weight");
+  SNNSEC_CHECK(input_ == InputKind::kEvents,
+               "Linear::forward_into_events on a dense-input layer — the "
+               "caller-built event lists would be dead weight");
   SNNSEC_CHECK(ev.cols == in_features_,
                "Linear(" << in_features_ << "->" << out_features_
                          << "): event operand has " << ev.cols
                          << " columns");
-  resolve_kernel();
   const std::int64_t n = ev.rows;
   if (y.ndim() != 2 || y.dim(0) != n || y.dim(1) != out_features_)
     y = Tensor(Shape{n, out_features_});

@@ -11,8 +11,12 @@ namespace snnsec::nn {
 class Linear final : public Layer {
  public:
   /// Weight [out_features, in_features] Kaiming-uniform, bias [out_features].
+  /// `input` picks the forward kernel for the layer's life: kDense runs the
+  /// blocked GEMM, kEvents the event kernel on spike inputs. One kernel per
+  /// layer means batch sizes and call counts never change which kernel
+  /// runs, the determinism contract serve and detection are built on.
   Linear(std::int64_t in_features, std::int64_t out_features, util::Rng& rng,
-         bool bias = true);
+         bool bias = true, InputKind input = InputKind::kDense);
 
   tensor::Tensor forward(const tensor::Tensor& x, Mode mode) override;
 
@@ -25,19 +29,11 @@ class Linear final : public Layer {
   /// Event-path forward for callers that already hold the input's event
   /// lists (AnytimeRunner builds them once per time slab where the spikes
   /// are produced). `ev` must describe a [N, in_features] operand. Requires
-  /// the layer to be resolved to kEvents; bit-identical to forward_into on
-  /// the equivalent dense tensor (same per-row kernel, same event order).
+  /// an InputKind::kEvents layer; bit-identical to forward_into on the
+  /// equivalent dense tensor (same per-row kernel, same event order).
   void forward_into_events(const tensor::EventRows& ev, tensor::Tensor& y);
 
-  /// Declare how this layer's input operand is populated (kDense default;
-  /// kSparse for spike slabs through the zero-skip kernel; kEvents for the
-  /// fully event-driven path). Resolution is STICKY: it must happen before
-  /// the first forward and never flips afterwards — kernel choice for a
-  /// (layer, operand role) is identical across batch sizes and call counts,
-  /// the determinism contract serve and detection are built on. Throws
-  /// util::Error if called after the layer has run.
-  void set_input_hint(tensor::SparsityHint hint);
-  tensor::SparsityHint input_hint() const { return input_hint_; }
+  InputKind input_kind() const { return input_; }
 
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
@@ -55,16 +51,14 @@ class Linear final : public Layer {
   bool has_bias() const { return has_bias_; }
 
  private:
-  void resolve_kernel();  ///< first-forward latch + tensor.gemm.kernel metric
   void add_bias(tensor::Tensor& y) const;
 
   std::int64_t in_features_;
   std::int64_t out_features_;
   bool has_bias_;
+  InputKind input_;
   Parameter weight_;
   Parameter bias_;
-  tensor::SparsityHint input_hint_ = tensor::SparsityHint::kDense;
-  bool kernel_resolved_ = false;  ///< set at first forward; hint frozen after
   tensor::Tensor cached_input_;     ///< kTrain only: dW = dY^T X reads it
   std::int64_t cached_rows_ = 0;    ///< batch rows of the cached forward
   Mode cached_mode_ = Mode::kEval;  ///< kEval: nothing cached

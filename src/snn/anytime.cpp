@@ -107,14 +107,14 @@ AnytimeRunner::AnytimeRunner(SpikingClassifier& model, bool allow_faults)
                "AnytimeRunner: network must end in LiReadout");
   // Wire the producer -> consumer event handoff: a spiking stage whose
   // downstream GEMM (looking past the pure-reshape Flatten) is a Linear
-  // resolved to the event kernel compresses its slab once per step; the
+  // built with event inputs compresses its slab once per step; the
   // Linear consumes the lists instead of re-scanning the dense slab. This
   // is topology-derived at construction — which stages hand off never
   // depends on the data flowing through them.
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     if (stages_[i].kind != StageKind::kLinear) continue;
     const auto& lin = static_cast<const nn::Linear&>(*stages_[i].layer);
-    if (lin.input_hint() != tensor::SparsityHint::kEvents) continue;
+    if (lin.input_kind() != nn::InputKind::kEvents) continue;
     std::size_t j = i;
     while (j > 0 && stages_[j - 1].kind == StageKind::kFlatten) --j;
     if (j == 0) continue;

@@ -20,16 +20,15 @@
 // Bit-identity with the one-shot path: every stage reuses the exact
 // per-step math of the corresponding layer (lif_step / li_step
 // / the layers' own forward_into entry points), and each conv/linear runs
-// whatever kernel the layer resolved at build time — dense GEMM or the
-// event-accumulate kernel — identically in both paths; the sticky
-// resolution rule (DESIGN.md §14) guarantees the choice never differs
-// between one-shot and stepped execution. The LIF recurrences are
-// elementwise and the event kernel computes each output row independently,
-// so stepping time outside the layers reorders no floating-point
-// operation. Spike slabs feeding an event-resolved Linear are compressed
-// ONCE where they are produced (the LIF stage) and handed over as
-// event lists; building them from the identical slab values is what keeps
-// this bit-identical to the Linear's own internal build.
+// the kernel its input kind fixed at construction — dense GEMM or the
+// event-accumulate kernel — identically in both paths (DESIGN.md §14), so
+// the choice never differs between one-shot and stepped execution. The LIF
+// recurrences are elementwise and the event kernel computes each output row
+// independently, so stepping time outside the layers reorders no
+// floating-point operation. Spike slabs feeding an event-input Linear are
+// compressed ONCE where they are produced (the LIF stage) and handed over
+// as event lists; building them from the identical slab values is what
+// keeps this bit-identical to the Linear's own internal build.
 // tests/test_serve_anytime.cpp checks logits()@t==T against
 // SpikingClassifier::logits() bit-for-bit.
 //

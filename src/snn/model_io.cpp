@@ -151,7 +151,7 @@ SnnConfig decode_config(const Tensor& t) {
   SnnConfig cfg;
   cfg.v_th = t[1];
   cfg.time_steps =
-      decode_int(t, "meta/snn", 2, "time_steps", 1, kMaxExactInt);
+      decode_int(t, "meta/snn", 2, "time_steps", 1, kMaxTimeSteps);
   cfg.surrogate.kind = static_cast<SurrogateKind>(
       decode_int(t, "meta/snn", 3, "surrogate kind", 0,
                  static_cast<int>(SurrogateKind::kStraightThrough)));

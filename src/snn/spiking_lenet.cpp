@@ -36,7 +36,10 @@ LifParameters SnnConfig::lif_params() const {
 }
 
 void SnnConfig::validate() const {
-  SNNSEC_CHECK(time_steps > 0, "SnnConfig: time_steps must be positive");
+  SNNSEC_CHECK(time_steps > 0 && time_steps <= kMaxTimeSteps,
+               "SnnConfig: time_steps is " << time_steps
+                                           << ", expected 1 to "
+                                           << kMaxTimeSteps);
   SNNSEC_CHECK(v_th > 0.0, "SnnConfig: v_th must be positive");
   SNNSEC_CHECK(weight_gain > 0.0, "SnnConfig: weight_gain must be positive");
   lif_params().validate();
@@ -57,26 +60,17 @@ std::unique_ptr<SpikingClassifier> build_spiking_lenet(
   };
 
   auto net = std::make_unique<nn::Sequential>();
-  // Kernel resolution is declared here from each GEMM operand's ROLE in
-  // the architecture — never probed from runtime data — and is sticky for
-  // the layer's lifetime (DESIGN.md §14). Two roles appear in this stack:
+  // Each GEMM-bearing layer's input kind is fixed here from its operand's
+  // ROLE in the architecture, never probed from runtime data (DESIGN.md
+  // §14). Two roles appear in this stack:
   //   - spike slabs (the encoder's output feeding conv1, the hidden
   //     spiking layers' slabs feeding fc1/fc2): binary and mostly silent
-  //     at SNN operating points -> the event kernel;
+  //     at SNN operating points -> the event kernels;
   //   - pooled rate maps (AvgPool2d output feeding conv2/conv3): 2x2
   //     averages of spikes are real-valued and mostly NONZERO by
   //     construction (one firing site lights the whole window), so they
-  //     keep the dense blocked kernel — declaring them "sparse" because a
-  //     probe once saw zeros is exactly the data-dependent dispatch this
-  //     design forbids.
-  auto spike_fed_conv = [&net] {
-    static_cast<nn::Conv2d&>(net->layer(net->size() - 1))
-        .set_input_hint(tensor::SparsityHint::kEvents);
-  };
-  auto spike_fed_fc = [&net] {
-    static_cast<nn::Linear&>(net->layer(net->size() - 1))
-        .set_input_hint(tensor::SparsityHint::kEvents);
-  };
+  //     keep the dense blocked kernel.
+  constexpr auto kSpikes = nn::InputKind::kEvents;
   // Input-current gain (Norse-style input normalization stand-in).
   // NOLINTNEXTLINE(snnsec-float-eq): gain of exactly 1 (the default literal) elides the Scale layer
   if (config.input_gain != 1.0)
@@ -89,8 +83,7 @@ std::unique_ptr<SpikingClassifier> build_spiking_lenet(
   }
   const std::array<nn::Conv2dSpec, 3> convs = lenet_convs(spec);
   // conv1 -> LIF -> pool
-  net->emplace<nn::Conv2d>(convs[0], rng);
-  spike_fed_conv();
+  net->emplace<nn::Conv2d>(convs[0], rng, /*bias=*/true, kSpikes);
   net->add(make_spiking());
   net->emplace<nn::AvgPool2d>(2);
   // conv2 -> LIF -> pool (input: pooled rate map -> dense by role)
@@ -103,11 +96,10 @@ std::unique_ptr<SpikingClassifier> build_spiking_lenet(
   // classifier head
   net->emplace<nn::Flatten>();
   net->emplace<nn::Linear>(static_cast<std::int64_t>(lenet_flat(spec)),
-                           spec.fc_hidden, rng);
-  spike_fed_fc();
+                           spec.fc_hidden, rng, /*bias=*/true, kSpikes);
   net->add(make_spiking());
-  net->emplace<nn::Linear>(spec.fc_hidden, spec.num_classes, rng);
-  spike_fed_fc();
+  net->emplace<nn::Linear>(spec.fc_hidden, spec.num_classes, rng,
+                           /*bias=*/true, kSpikes);
   net->emplace<LiReadout>(t, lif);
 
   // Rescale weight inits so synaptic currents reach the threshold's working

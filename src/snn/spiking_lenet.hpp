@@ -13,6 +13,7 @@
 // the time window T.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "nn/lenet.hpp"
@@ -21,6 +22,13 @@
 #include "snn/spiking_network.hpp"
 
 namespace snnsec::snn {
+
+/// Largest time window T a config may carry. Every forward holds [T·N, ...]
+/// activation slabs, so T scales memory per sample. The paper's grid stops
+/// at T = 96; this cap sits an order of magnitude above it, so any window
+/// an experiment uses passes, while a crafted checkpoint cannot make its
+/// first forward allocate GiBs.
+inline constexpr std::int64_t kMaxTimeSteps = 1024;
 
 struct SnnConfig {
   double v_th = 1.0;             ///< structural parameter #1

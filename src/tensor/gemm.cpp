@@ -283,29 +283,6 @@ void dense_tiles(std::int64_t kb, std::int64_t mb, std::int64_t nb,
   }
 }
 
-/// One C row of the zero-skip kernel: saxpy rows of packed B for every
-/// non-zero of op(A)'s row, then the alpha/beta store.
-SNNSEC_KERNEL_CLONES
-void sparse_row(std::int64_t k, std::int64_t n, Trans ta, const float* a,
-                std::int64_t lda, std::int64_t i, const float* bp, float alpha,
-                float beta, float* crow, float* acc) {
-  std::fill(acc, acc + n, 0.0f);
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float av = load_a(ta, a, lda, i, kk);
-    // NOLINTNEXTLINE(snnsec-float-eq): spike operands are exactly 0 or 1; the sparsity skip must only drop true zeros
-    if (av == 0.0f) continue;  // spike tensors are sparse; skip zeros
-    const float* brow = bp + kk * n;
-    for (std::int64_t j = 0; j < n; ++j) acc[j] += av * brow[j];
-  }
-  // NOLINTNEXTLINE(snnsec-float-eq): beta exactly 0 selects the overwrite path; near-zero must still scale C
-  if (beta == 0.0f) {
-    for (std::int64_t j = 0; j < n; ++j) crow[j] = alpha * acc[j];
-  } else {
-    for (std::int64_t j = 0; j < n; ++j)
-      crow[j] = beta * crow[j] + alpha * acc[j];
-  }
-}
-
 /// The blocked dense driver. `pack_b(pc, kb, jc, nb, bp)` fills bp with
 /// op(B)[pc:pc+kb, jc:jc+nb] in pack_b_block's panel layout; which source it
 /// packs from (a stored matrix or a convolution input) is the only thing
@@ -435,84 +412,20 @@ void conv_dx_sample(const ConvGeometry& g, std::int64_t cout, const float* ap,
                   sizeof(float) * g.width);
 }
 
-// ---- sparse (zero-skip) kernel ---------------------------------------------
-//
-// The seed row-panel kernel: for each row of C stream rows of packed op(B),
-// skipping kk where op(A)[i,kk] == 0. With spike-train operands (typical
-// firing rates 5–30%) the skip removes most of the memory traffic, which the
-// blocked kernel cannot do. Scratch comes from the workspace, so unlike the
-// seed this path no longer allocates per call.
-void gemm_sparse(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                 std::int64_t k, float alpha, const float* a, std::int64_t lda,
-                 const float* b, std::int64_t ldb, float beta, float* c,
-                 std::int64_t ldc) {
-  util::Workspace& ws = util::Workspace::local();
-  util::Workspace::Scope scope(ws);
-  float* bp = ws.alloc<float>(static_cast<std::size_t>(k * n));
-  if (tb == Trans::kNo && ldb == n) {
-    std::copy(b, b + k * n, bp);
-  } else {
-    for (std::int64_t kk = 0; kk < k; ++kk)
-      for (std::int64_t j = 0; j < n; ++j)
-        bp[kk * n + j] = load_b(tb, b, ldb, kk, j);
-  }
-
-  auto row_panel = [&](std::int64_t lo, std::int64_t hi) {
-    util::Workspace& tws = util::Workspace::local();
-    util::Workspace::Scope row_scope(tws);
-    float* acc = tws.alloc<float>(static_cast<std::size_t>(n));
-    for (std::int64_t i = lo; i < hi; ++i)
-      sparse_row(k, n, ta, a, lda, i, bp, alpha, beta, c + i * ldc, acc);
-  };
-
-  if ((m * n * k) < (std::int64_t{1} << 16))
-    row_panel(0, m);
-  else
-    util::parallel_for_chunked(0, m, row_panel);
-}
-
 }  // namespace
-
-// Diagnostic only (header comment): no production call site reaches this —
-// kernel selection is declared per layer and sticky, never data-probed.
-bool probe_sparse(Trans trans_a, const float* a, std::int64_t lda,
-                  std::int64_t m, std::int64_t k) {
-  const std::int64_t total = m * k;
-  const std::int64_t samples = std::min<std::int64_t>(256, total);
-  if (samples <= 0) return false;
-  std::int64_t zeros = 0;
-  for (std::int64_t t = 0; t < samples; ++t) {
-    // Rounded endpoint positions: t = samples-1 lands exactly on total-1,
-    // so the matrix tail is always sampled (the old floor-stride walk ended
-    // at most (total % samples) short of it and over-weighted early rows).
-    const std::int64_t pos = ((t + 1) * total) / samples - 1;
-    // NOLINTNEXTLINE(snnsec-float-eq): sparsity probe counts exact zeros, mirroring the kernel's skip test
-    if (load_a(trans_a, a, lda, pos / k, pos % k) == 0.0f) ++zeros;
-  }
-  return zeros * 10 >= samples * 6;  // >= 60% zeros
-}
 
 void gemm_raw(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
               std::int64_t k, float alpha, const float* a, std::int64_t lda,
               const float* b, std::int64_t ldb, float beta, float* c,
-              std::int64_t ldc, SparsityHint hint) {
+              std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
-  SNNSEC_CHECK(hint != SparsityHint::kEvents,
-               "gemm_raw: kEvents needs prebuilt event lists — build them "
-               "with build_event_rows and call gemm_events instead");
   SNNSEC_COUNTER_ADD("tensor.gemm.calls", 1);
   SNNSEC_COUNTER_ADD("tensor.gemm.flops", 2 * m * n * k);
-  if (hint == SparsityHint::kSparse) {
-    SNNSEC_COUNTER_ADD("tensor.gemm.sparse_path", 1);
-    gemm_sparse(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
-                ldc);
-  } else {
-    const auto pack_b = [&](std::int64_t p0, std::int64_t kb, std::int64_t j0,
-                            std::int64_t nb, float* bp) {
-      pack_b_block(trans_b, b, ldb, p0, kb, j0, nb, bp);
-    };
-    gemm_dense(trans_a, m, n, k, alpha, a, lda, pack_b, beta, c, ldc);
-  }
+  const auto pack_b = [&](std::int64_t p0, std::int64_t kb, std::int64_t j0,
+                          std::int64_t nb, float* bp) {
+    pack_b_block(trans_b, b, ldb, p0, kb, j0, nb, bp);
+  };
+  gemm_dense(trans_a, m, n, k, alpha, a, lda, pack_b, beta, c, ldc);
 }
 
 void gemm_conv_raw(Trans trans_a, Trans trans_b, std::int64_t m, float alpha,
@@ -579,21 +492,20 @@ void conv_input_grad(const ConvGeometry& g, const float* w, std::int64_t cout,
 
 // SNNSEC_HOT entry: every conv/fc lowers onto this call.
 void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
-          const Tensor& b, float beta, Tensor& c, SparsityHint hint) {
+          const Tensor& b, float beta, Tensor& c) {
   SNNSEC_TRACE_SCOPE("gemm");
   const Dims d = check_dims(trans_a, trans_b, a, b);
   SNNSEC_CHECK(c.ndim() == 2 && c.dim(0) == d.m && c.dim(1) == d.n,
                "gemm output shape " << c.shape().to_string() << " != ["
                                     << d.m << ", " << d.n << "]");
   gemm_raw(trans_a, trans_b, d.m, d.n, d.k, alpha, a.data(), a.dim(1),
-           b.data(), b.dim(1), beta, c.data(), d.n, hint);
+           b.data(), b.dim(1), beta, c.data(), d.n);
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a, Trans trans_b,
-              SparsityHint hint) {
+Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a, Trans trans_b) {
   const Dims d = check_dims(trans_a, trans_b, a, b);
   Tensor c(Shape{d.m, d.n});
-  gemm(trans_a, trans_b, 1.0f, a, b, 0.0f, c, hint);
+  gemm(trans_a, trans_b, 1.0f, a, b, 0.0f, c);
   return c;
 }
 

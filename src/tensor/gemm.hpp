@@ -3,23 +3,13 @@
 //
 // C = alpha * op(A) * op(B) + beta * C, with op in {identity, transpose}.
 //
-// Two kernels sit behind the public entry points:
-//  * a cache-blocked (MC/KC/NC), register-tiled (MR x NR) dense kernel whose
-//    inner loop is branch-free and written to auto-vectorize — the default;
-//  * the seed row-panel kernel with the per-element zero-skip, kept for
-//    spike-train operands where most of A is zero and skipping whole rows of
-//    B beats streaming them.
-// SparsityHint picks between them. The hint is declared by the caller from
-// the operand's ROLE (weights are dense, spike slabs are sparse), never
-// probed from its data: data-dependent dispatch could flip the summation
-// order between batched and single execution of the same layer, breaking
-// the serve/detection bit-identity contracts (DESIGN.md §14). Layers
-// resolve their kernel once and keep it for life.
-//
-// kEvents names the third, fully event-driven path: the operand is
-// compressed to per-row index lists and consumed by gemm_events
-// (spike_events.hpp). It is a layer-level resolution only — the dense-matrix
-// entry points below cannot take it because they have no event lists.
+// The entry points below run one kernel: a cache-blocked (MC/KC/NC),
+// register-tiled (MR x NR) dense kernel whose inner loop is branch-free and
+// written to auto-vectorize. Spike operands take the event kernels instead
+// (gemm_events / conv_events, spike_events.hpp); a layer picks dense or
+// events from its operand's ROLE when it is constructed, never from the
+// operand's data, so batched and single execution of the same layer run
+// the same kernel (DESIGN.md §14).
 //
 // All scratch (pack buffers, accumulators) comes from the per-thread
 // util::Workspace arena: steady-state calls perform zero heap allocations.
@@ -40,25 +30,14 @@ enum class Trans { kNo, kYes };
 
 struct ConvGeometry;  // tensor/im2col.hpp
 
-/// How the caller declares op(A) to be populated. Resolved from the
-/// operand's role (layer kind + position), sticky for the call site's
-/// lifetime — see the header comment for why probing is forbidden.
-///  kDense  — run the blocked branch-free kernel.
-///  kSparse — run the zero-skip row kernel (spike trains).
-///  kEvents — event-list path; only valid as a layer resolution, consumed
-///            through gemm_events (spike_events.hpp), rejected here.
-enum class SparsityHint { kDense, kSparse, kEvents };
-
 /// General matrix multiply into an existing, correctly-sized C.
 /// Shapes (logical, after op): A is [M,K], B is [K,N], C is [M,N].
 void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
-          const Tensor& b, float beta, Tensor& c,
-          SparsityHint hint = SparsityHint::kDense);
+          const Tensor& b, float beta, Tensor& c);
 
 /// Convenience: returns op(A)*op(B) as a fresh [M,N] tensor.
 Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a = Trans::kNo,
-              Trans trans_b = Trans::kNo,
-              SparsityHint hint = SparsityHint::kDense);
+              Trans trans_b = Trans::kNo);
 
 /// Raw-pointer core for callers that manage their own buffers (the conv
 /// hot path runs GEMM straight on workspace memory). Strides are row-major
@@ -68,7 +47,7 @@ Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a = Trans::kNo,
 void gemm_raw(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
               std::int64_t k, float alpha, const float* a, std::int64_t lda,
               const float* b, std::int64_t ldb, float beta, float* c,
-              std::int64_t ldc, SparsityHint hint = SparsityHint::kDense);
+              std::int64_t ldc);
 
 /// Implicit-im2col GEMM for convolution. The B operand is the
 /// [patch_size, batch*OH*OW] column matrix of the `batch` NCHW images at
@@ -95,16 +74,6 @@ void gemm_conv_raw(Trans trans_a, Trans trans_b, std::int64_t m, float alpha,
 /// element. Parallel over samples.
 void conv_input_grad(const ConvGeometry& g, const float* w, std::int64_t cout,
                      const float* grad, std::int64_t batch, float* dx);
-
-/// Offline/diagnostic sparsity probe: true when >= 60% of a strided sample
-/// (up to 256 elements) of op(A) is exactly zero. Sample positions are the
-/// rounded endpoints ((t+1) * total) / samples - 1, so the final element of
-/// the matrix is always covered and no region is over-weighted — the seed's
-/// floor-stride walk (stride = total/samples) stopped well short of the tail
-/// on non-divisible sizes. NOT called on any hot path: kernel selection is
-/// declared per layer, never probed per call (see SparsityHint).
-bool probe_sparse(Trans trans_a, const float* a, std::int64_t lda,
-                  std::int64_t m, std::int64_t k);
 
 /// The seed scalar kernel, frozen: serial row-panel loop with the
 /// per-element zero-skip and per-call heap scratch. Not for production use —

@@ -3,11 +3,11 @@
 //
 // Spike tensors are mostly zeros (obs probes show 5–20% firing rates), so a
 // GEMM whose A operand is a spike slab wastes 80–95% of its work touching
-// zeros. The zero-skip row kernel in gemm.cpp already skips the multiplies
-// but still scans every element of every row on every call. This module goes
-// one step further: the operand is compressed ONCE into per-row event lists
+// zeros. Here the operand is compressed ONCE into per-row event lists
 // (column index + value per non-zero), and the kernel streams rows of the
-// packed B operand only for firing indices.
+// packed B operand only for firing indices. These are the only sparse
+// kernels: a layer built with InputKind::kEvents runs them, every other
+// GEMM runs the dense kernel of gemm.hpp.
 //
 // Representation (EventRows): per-row counts over a fixed-capacity layout —
 // row i's events occupy index/value[i*stride .. i*stride + count[i]). The
@@ -19,8 +19,9 @@
 // order, the accumulate kernel processes them in that order with a fixed
 // 4-way association, and every row of C is computed independently — so
 // results are bit-identical across batch sizes, call counts, and thread
-// counts. This is what lets layers resolve the event kernel once and rely
-// on batched-vs-single and serial-vs-parallel bit-identity (DESIGN.md §14).
+// counts. This is what lets a layer fix the event kernel at construction
+// and rely on batched-vs-single and serial-vs-parallel bit-identity
+// (DESIGN.md §14).
 //
 // All scratch and the event lists themselves live in util::Workspace arenas;
 // steady-state calls perform zero heap allocations.

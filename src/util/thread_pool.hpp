@@ -1,10 +1,11 @@
 // Minimal work-stealing-free thread pool with a blocking parallel_for.
 //
-// The library's hot loops (GEMM tiles, per-sample attack generation, grid
-// cells in the explorer) are embarrassingly parallel, so a simple
-// static-partition parallel_for over a shared pool is enough. The pool is a
-// process-wide singleton sized from the hardware, overridable via the
-// SNNSEC_THREADS environment variable (SNNSEC_THREADS=1 gives fully
+// The library's hot loops (GEMM row blocks, event-kernel rows, per-sample
+// conv work, LIF chunks) are embarrassingly parallel, so a simple
+// static-partition parallel_for over a shared pool is enough. Coarser units
+// do not use it: core::Explorer runs its grid cells one after another. The
+// pool is a process-wide singleton sized from the hardware, overridable via
+// the SNNSEC_THREADS environment variable (SNNSEC_THREADS=1 gives fully
 // deterministic serial execution regardless of reduction order).
 #pragma once
 

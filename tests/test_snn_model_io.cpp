@@ -215,6 +215,25 @@ TEST(ModelIo, RejectsNonFiniteFractionalAndHugeIntegerSlots) {
   }
 }
 
+TEST(ModelIo, RejectsTimeWindowAboveTheCap) {
+  // T = 2^24 is an exact float integer, and with a self-consistent hash and
+  // digest only the time-window cap stands between the file and a first
+  // forward that allocates [T·N, ...] slabs of GiBs. Decoding the metadata
+  // rejects it, before any network is built.
+  Fixture fx;
+  const std::string path = temp_path("snnsec_model_io_huge_t.snnm");
+  save_spiking_lenet(path, *fx.model, fx.arch, fx.cfg);
+  craft_slot(path, "meta/snn", 2, 16777216.0f);
+  EXPECT_THROW(load_validated_payload(path), util::Error);
+  expect_rejected(path);
+  craft_slot(path, "meta/snn", 2, static_cast<float>(kMaxTimeSteps + 1));
+  expect_rejected(path);
+  // The cap itself still loads.
+  craft_slot(path, "meta/snn", 2, static_cast<float>(kMaxTimeSteps));
+  EXPECT_EQ(load_spiking_lenet(path).config.time_steps, kMaxTimeSteps);
+  fs::remove(path);
+}
+
 // Sanitizer runtimes reserve terabytes of address space up front, so an
 // address-space cap cannot be set under them.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)

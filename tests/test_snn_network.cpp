@@ -209,6 +209,10 @@ TEST(SnnConfig, ValidatesStructuralParameters) {
   cfg = SnnConfig{};
   cfg.time_steps = 0;
   EXPECT_THROW(cfg.validate(), util::Error);
+  cfg.time_steps = kMaxTimeSteps;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.time_steps = kMaxTimeSteps + 1;
+  EXPECT_THROW(cfg.validate(), util::Error);
   cfg = SnnConfig{};
   cfg.weight_gain = 0.0;
   EXPECT_THROW(cfg.validate(), util::Error);

@@ -1,6 +1,6 @@
 // Event-driven spike kernels: compressed event lists, the event-accumulate
 // GEMM, both conv formulations (the patch-list reference, defined here, and
-// the production scatter), and the probe_sparse tail-coverage regression.
+// the production scatter), and the event-input Linear and Conv2d layers.
 //
 // The determinism assertions here are the teeth behind DESIGN.md §14: the
 // event kernels must be bit-identical across batch sizes and serial/parallel
@@ -467,8 +467,8 @@ TEST(Conv2dEvents, ForwardMatchesDenseKernel) {
                             /*kernel=*/5, /*stride=*/1, /*padding=*/2};
   util::Rng rng_a(23), rng_b(23), rng_x(29);
   nn::Conv2d dense(spec, rng_a);
-  nn::Conv2d events(spec, rng_b);  // same seed -> identical weights
-  events.set_input_hint(tensor::SparsityHint::kEvents);
+  // same seed -> identical weights
+  nn::Conv2d events(spec, rng_b, /*bias=*/true, nn::InputKind::kEvents);
 
   const Tensor x = spike_operand(Shape{4, 2, 14, 14}, 0.15, rng_x);
   const Tensor yd = dense.forward(x, nn::Mode::kEval);
@@ -481,8 +481,7 @@ TEST(Conv2dEvents, ForwardMatchesDenseKernel) {
 TEST(Conv2dEvents, BatchedVsSingleBitIdentical) {
   const nn::Conv2dSpec spec{2, 3, 3, 1, 1};
   util::Rng rng(31);
-  nn::Conv2d conv(spec, rng);
-  conv.set_input_hint(tensor::SparsityHint::kEvents);
+  nn::Conv2d conv(spec, rng, /*bias=*/true, nn::InputKind::kEvents);
   const std::int64_t n = 4, chw = 2 * 10 * 10;
   const Tensor x = spike_operand(Shape{n, 2, 10, 10}, 0.2, rng);
   const Tensor yf = conv.forward(x, nn::Mode::kEval);
@@ -506,8 +505,7 @@ TEST(Conv2dEvents, SteadyStateIsAllocationFree) {
   // at the top of this file.
   const nn::Conv2dSpec spec{3, 8, 5, 1, 2};
   util::Rng rng(37);
-  nn::Conv2d conv(spec, rng);
-  conv.set_input_hint(tensor::SparsityHint::kEvents);
+  nn::Conv2d conv(spec, rng, /*bias=*/true, nn::InputKind::kEvents);
   const Tensor x = spike_operand(Shape{4, 3, 12, 12}, 0.2, rng);
   Tensor y;
   for (int i = 0; i < 3; ++i) conv.forward_into(x, y, nn::Mode::kEval);
@@ -519,8 +517,7 @@ TEST(Conv2dEvents, SteadyStateIsAllocationFree) {
 
 TEST(LinearEvents, SteadyStateIsAllocationFree) {
   util::Rng rng(41);
-  nn::Linear fc(256, 64, rng);
-  fc.set_input_hint(tensor::SparsityHint::kEvents);
+  nn::Linear fc(256, 64, rng, /*bias=*/true, nn::InputKind::kEvents);
   const Tensor x = spike_operand(Shape{16, 256}, 0.1, rng);
   Tensor y;
   for (int i = 0; i < 3; ++i) fc.forward_into(x, y);
@@ -528,28 +525,6 @@ TEST(LinearEvents, SteadyStateIsAllocationFree) {
   for (int i = 0; i < 5; ++i) fc.forward_into(x, y);
   EXPECT_EQ(g_allocs.load() - before, 0)
       << "event linear forward allocated on the steady state";
-}
-
-TEST(ProbeSparse, RoundedPositionsCoverTheMatrixTail) {
-  // Regression for the floor-stride sampler: with total = 511 and 256
-  // samples the old walk (pos = t * (total / samples)) visited positions
-  // 0..255 only, so a matrix whose character changes past the midpoint was
-  // judged entirely by its head. The rounded-endpoint positions span the
-  // full range, with t = samples-1 landing exactly on total-1.
-  const std::int64_t m = 7, k = 73;  // total = 511, not divisible by 256
-  std::vector<float> a(static_cast<std::size_t>(m * k));
-
-  // Head all zero, tail all ones: ~50% zeros overall -> below the 60%
-  // threshold, so the verdict must be dense. The old sampler saw only the
-  // zero head and reported sparse.
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = (i < 256) ? 0.0f : 1.0f;
-  EXPECT_FALSE(probe_sparse(Trans::kNo, a.data(), k, m, k));
-
-  // Head dense, zeros concentrated in the tail: ~70% zeros overall -> the
-  // verdict must be sparse, which requires actually sampling the tail (the
-  // old sampler saw ~40% zeros in its truncated window and said dense).
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = (i < 153) ? 1.0f : 0.0f;
-  EXPECT_TRUE(probe_sparse(Trans::kNo, a.data(), k, m, k));
 }
 
 }  // namespace

@@ -126,7 +126,7 @@ TEST(GemmProperty, BlockedMatchesReferenceOnRandomizedShapes) {
     Tensor c_init = Tensor::randn(Shape{m, n}, rng);
     Tensor got = c_init;
     Tensor want = c_init;
-    gemm(ta, tb, alpha, a, b, beta, got, SparsityHint::kDense);
+    gemm(ta, tb, alpha, a, b, beta, got);
     gemm_reference(ta, tb, alpha, a, b, beta, want);
     SCOPED_TRACE(::testing::Message()
                  << "m=" << m << " k=" << k << " n=" << n << " ta="
@@ -136,28 +136,12 @@ TEST(GemmProperty, BlockedMatchesReferenceOnRandomizedShapes) {
   }
 }
 
-TEST(GemmProperty, SparseHintMatchesReference) {
-  // The zero-skip path on a spike-like operand (85% zeros) must agree with
-  // the reference bit-for-bit: both skip exactly the zero entries and
-  // accumulate in the same order.
-  util::Rng rng(99);
-  Tensor a = Tensor::bernoulli(Shape{37, 130}, rng, 0.15);
-  const Tensor b = Tensor::randn(Shape{130, 29}, rng);
-  Tensor got(Shape{37, 29});
-  Tensor want(Shape{37, 29});
-  gemm(Trans::kNo, Trans::kNo, 1.0f, a, b, 0.0f, got, SparsityHint::kSparse);
-  gemm_reference(Trans::kNo, Trans::kNo, 1.0f, a, b, 0.0f, want);
-  for (std::int64_t i = 0; i < got.numel(); ++i)
-    EXPECT_EQ(got[i], want[i]) << "at flat index " << i;
-}
-
-TEST(GemmProperty, AutoHintPicksSparsePathForSpikeTrains) {
+TEST(GemmProperty, MatmulMatchesReferenceOnSpikeAndDenseOperands) {
   util::Rng rng(100);
   const Tensor spikes = Tensor::bernoulli(Shape{64, 256}, rng, 0.1);
   const Tensor dense = Tensor::randn(Shape{64, 256}, rng);
   const Tensor w = Tensor::randn(Shape{256, 32}, rng);
-  // Both hints must agree with the reference regardless of which kernel the
-  // probe picks.
+  // A spike-train operand and a dense one both agree with the reference.
   Tensor ref_s(Shape{64, 32});
   gemm_reference(Trans::kNo, Trans::kNo, 1.0f, spikes, w, 0.0f, ref_s);
   expect_close_to_reference(matmul(spikes, w), ref_s);
@@ -176,7 +160,7 @@ TEST(GemmRaw, StridedSubmatrixMultiplies) {
   const Tensor bbuf = Tensor::randn(Shape{k, ldb}, rng);
   std::vector<float> cbuf(static_cast<std::size_t>(m * ldc), -7.0f);
   gemm_raw(Trans::kNo, Trans::kNo, m, n, k, 1.0f, abuf.data(), lda,
-           bbuf.data(), ldb, 0.0f, cbuf.data(), ldc, SparsityHint::kDense);
+           bbuf.data(), ldb, 0.0f, cbuf.data(), ldc);
   for (std::int64_t i = 0; i < m; ++i)
     for (std::int64_t j = 0; j < n; ++j) {
       double acc = 0.0;
